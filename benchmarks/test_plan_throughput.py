@@ -4,19 +4,18 @@ Measures end-to-end ``Executor.evaluate`` on the ResNet-14 / CIFAR-10 preset
 at every pipeline optimization level — ``O0`` (reference lowering), ``O1``
 (graph passes), ``O2`` (+fusion/arena memory plan), ``O3`` (+compile-time
 kernel autotuning), ``O4`` (+native codegen backend: the planned schedule
-compiled to C and run via ctypes) — plus PR 2's pooled executor
-(``memory_plan=False``, the refcounted buffer-pool path kept as the
-fallback) on the same optimized program.  Asserts:
+compiled to C and run via ctypes).  ``O0`` and ``O1`` run the executor's
+interpreter walk; ``O2`` and above run the ahead-of-time plan.  Asserts:
 
-* every level produces identical predictions (same accuracy, and O1..O3 are
-  bitwise identical to each other; O0 is the bit-exact reference),
+* every level produces identical predictions (same accuracy, and the
+  reference-backend oracle's labels); ``O0`` and ``O2`` logits track the
+  oracle within the documented float tolerance; at the same tile ``O1``
+  (walk) and ``O2`` (planned) are bitwise identical, and so are ``O3``'s
+  tuned kernels and ``O2`` at ``O3``'s tile,
 * the pipeline's IR verifier was exercised for every compiled level (the
   fast CI smoke fails if a compile path stops verifying),
-* the planned ``O3`` executor beats the pooled path by the speedup target
-  while predicting bitwise-identically,
-* the static arena stays below the pooled executor's *measured* peak (live
-  buffers plus free lists), and — on machines with ≥ 2 CPUs — sharding a
-  large batch across the arena pool beats the single-shard plan,
+* on machines with ≥ 2 CPUs, sharding a large batch across the arena pool
+  beats the single-shard plan,
 * when the host can build it (otherwise O4 falls back to the plan backend
   and these are skipped): the native backend is bitwise identical to the
   plan backend at a pinned tile, plans the *same* arena (byte parity), and
@@ -42,9 +41,7 @@ from repro.experiments.common import calibrated_engine, compress_and_finetune, p
 from repro.experiments.common import test_loader_for as held_out_loader_for
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_plan.json"
-# Overridable for noisy shared CI runners; the committed record's margin is
-# well above the 1.2x acceptance floor.
-SPEEDUP_TARGET = float(os.environ.get("REPRO_PLAN_SPEEDUP_TARGET", "1.2"))
+# Overridable for noisy shared CI runners.
 SHARD_TARGET = float(os.environ.get("REPRO_PLAN_SHARD_TARGET", "1.15"))
 # O4 (native) vs O3 (plan): the hard floor is parity — the native backend
 # must never lose to the schedule it compiled; the committed record's margin
@@ -85,7 +82,6 @@ def test_plan_throughput(scale):
     assert planned.exec_plan is not None
     assert planned.autotune is not None
     program = executors["O2"].program
-    pooled = Executor(program, memory_plan=False, tile=planned.exec_plan.tile)
     # O4: the engine routes it to the native backend; on hosts without a C
     # compiler the executor downgrades to plan and the native-only
     # assertions below are skipped (the level sweep still runs it).
@@ -101,15 +97,21 @@ def test_plan_throughput(scale):
         )
 
     # Correctness first: at the same tile, O1..O3 run the same ufunc
-    # sequences — bitwise identical (pooled here runs the O2 program at
-    # O3's tile); O0 is the bit-exact reference lowering.  Across tiles the
-    # float stem conv's BLAS reduction order varies (the auto-tile
-    # heuristic's long-standing caveat), so predictions are the invariant.
+    # sequences — bitwise identical (the O2 program re-planned at O3's
+    # tile).  Across tiles the float stem conv's BLAS reduction order varies
+    # (the auto-tile heuristic's long-standing caveat), so against the
+    # reference-backend oracle predictions are the invariant and logits
+    # agree to the documented float tolerance.
     x = np.stack([loader.dataset[i][0] for i in range(min(24, images))])
-    np.testing.assert_array_equal(planned.run(x), pooled.run(x))
+    same_tile = Executor(program, tile=planned.exec_plan.tile)
+    np.testing.assert_array_equal(planned.run(x), same_tile.run(x))
     np.testing.assert_array_equal(executors["O1"].run(x), executors["O2"].run(x))
-    preds = executors["O0"].run(x).argmax(axis=1)
-    for level in ("O1", "O2", "O3", "O4"):
+    oracle = Executor(executors["O0"].program, backend="reference").run(x)
+    magnitude = max(float(np.abs(oracle).max()), 1e-12)
+    for level in ("O0", "O2"):
+        assert np.abs(executors[level].run(x) - oracle).max() < 1e-9 * magnitude, level
+    preds = oracle.argmax(axis=1)
+    for level in OPT_LEVELS:
         np.testing.assert_array_equal(
             executors[level].run(x).argmax(axis=1), preds, err_msg=level
         )
@@ -130,23 +132,11 @@ def test_plan_throughput(scale):
         np.testing.assert_array_equal(pinned.run(x), oracle.run(x))
 
     rounds = 1 if FAST else 4
-    sweep = dict(executors)
-    sweep["pooled"] = pooled
-    accuracies, seconds = _interleaved_best(sweep, loader, rounds)
-    speedup = seconds["pooled"] / seconds["O3"]
+    accuracies, seconds = _interleaved_best(executors, loader, rounds)
     assert len(set(accuracies.values())) == 1, (
         f"optimization levels disagree on predictions: {accuracies}"
     )
-
-    # Peak memory: the static arena vs. the pooled executor's measured peak
-    # (live buffers + pool free lists) at the same tile, after steady state.
-    tracked = Executor(program, memory_plan=False, tile=planned.exec_plan.tile,
-                       track_memory=True)
-    tile_batch = x[: planned.exec_plan.tile]
-    for _ in range(3):
-        tracked.run(tile_batch)
     arena_bytes = planned.plan_info["arena_bytes"]
-    pooled_peak = tracked.peak_pool_bytes
 
     # Snapshot the O3 pipeline report now: the serial shard-baseline below
     # rebinds the same program and would otherwise overwrite the report's
@@ -201,13 +191,9 @@ def test_plan_throughput(scale):
                 "fallback_reason"
             ),
         },
-        "pooled_peak_bytes": int(pooled_peak),
         "arena_bytes": int(arena_bytes),
-        "pooled_seconds": round(seconds["pooled"], 4),
         "planned_seconds": round(seconds["O3"], 4),
-        "pooled_images_per_second": round(images / seconds["pooled"], 2),
         "planned_images_per_second": round(images / seconds["O3"], 2),
-        "speedup": round(speedup, 2),
         "shard_speedup": round(shard_speedup, 2) if shard_speedup else None,
         "accuracy": round(float(accuracies["O3"]), 4),
     }
@@ -215,14 +201,6 @@ def test_plan_throughput(scale):
     print()
     print(json.dumps(record, indent=2))
 
-    assert 0 < arena_bytes < pooled_peak, (
-        f"static arena ({arena_bytes} B) should beat the pooled executor's "
-        f"measured peak ({pooled_peak} B)"
-    )
-    assert speedup >= SPEEDUP_TARGET, (
-        f"planned O3 executor is only {speedup:.2f}x faster than the pooled "
-        f"executor (target {SPEEDUP_TARGET}x)"
-    )
     if shard_speedup is not None and cpus >= 2:
         assert shard_speedup >= SHARD_TARGET, (
             f"{planned.n_shards}-shard execution is only {shard_speedup:.2f}x "

@@ -19,8 +19,9 @@ Two execution strategies coexist:
   compile a per-call :mod:`repro.core.kernel_plan` and execute it with the
   vectorised gather-accumulate engine (the fast path).
 * ``bitserial_conv2d_reference`` / ``bitserial_linear_reference`` — the
-  original Python tap-loop kernels, kept as the independent oracle for the
-  property tests and as the "legacy" side of the throughput benchmark.
+  original Python tap-loop kernels, the independent oracle behind the
+  executor's ``reference`` backend, the property tests and the kernel
+  throughput benchmark's baseline.
 
 Long-lived callers (the inference engine) should compile a plan once via
 :func:`repro.core.kernel_plan.compile_conv_plan` and reuse it across batches

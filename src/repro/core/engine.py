@@ -7,12 +7,16 @@ the microcontroller:
    mode while observing the input of every weight-pool layer.
 2. **Freezing** — derive per-layer activation quantization parameters at the
    requested activation bitwidth (iterative range search by default, §5.3.3).
-3. **Bit-serial execution** — install a runtime on every weight-pool layer
-   that quantizes its input, runs the LUT-based bit-serial kernel
-   (:mod:`repro.core.bitserial`), corrects for the activation zero point using
-   the LUT's all-ones entry, and rescales back to the real domain.  The rest
-   of the network (batch norm, activations, pooling, classifier) runs in
-   float, matching the paper's PyTorch accuracy simulation.
+3. **Bit-serial execution** — lower the model into a
+   :class:`~repro.core.program.NetworkProgram` for each input shape it sees,
+   at the configured optimization level (``O2`` by default: BatchNorm folded
+   into the bit-serial epilogues, dequantize→quantize pairs elided, an
+   ahead-of-time arena plan), and run ``predict``/``evaluate`` through the
+   batched :class:`~repro.core.program.Executor`.  The LUT-based bit-serial
+   kernels quantize each layer's input, correct for the activation zero
+   point with the LUT's all-ones entry, and rescale back to the real domain;
+   the rest of the network runs in float, matching the paper's PyTorch
+   accuracy simulation.
 
 The engine supports three execution modes:
 
@@ -20,27 +24,23 @@ The engine supports three execution modes:
   a quantized LUT, Table 5).
 * ``use_lut=False`` — "No-LUT" mode: activations are fake-quantized and the
   reconstructed pool weights are used directly (the Table 5 reference column).
-* ``float`` (no engine installed) — plain weight-pool accuracy (Table 4).
+* ``float`` (:meth:`BitSerialInferenceEngine.evaluate_float`) — plain
+  weight-pool accuracy (Table 4).
 
-Since the whole-network compiler landed, the default execution path is
-**compile-then-execute**: after calibration the engine lowers the model into a
-:class:`~repro.core.program.NetworkProgram` (BatchNorm folded into the
-bit-serial epilogues, back-to-back dequantize→quantize pairs elided) and
-delegates ``predict``/``evaluate`` to the batched graph
-:class:`~repro.core.program.Executor`.  The original per-layer runtime-install
-path is kept as the oracle — ``EngineConfig(use_graph=False)``, or entering
-the engine as a context manager, still runs it.
+A per-layer runtime installed on every weight-pool layer runs only where no
+program can: the No-LUT mode, and models that cannot be lowered (no
+``lower_into`` hook, or a non-``(C, H, W)`` input such as an MLP's).
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.bitserial import bitserial_conv2d_reference, bitserial_linear_reference
 from repro.core.kernel_plan import compile_conv_plan, compile_linear_plan
 from repro.core.layers import WeightPoolConv2d, WeightPoolLinear
 from repro.core.lut import LookupTable, build_lut
@@ -48,7 +48,7 @@ from repro.core.pipeline import OPT_LEVELS
 from repro.core.program import Executor, NetworkProgram, compile_network
 from repro.core.weight_pool import WeightPool
 from repro.nn import DataLoader, Module
-from repro.nn.training.trainer import evaluate_model
+from repro.nn.training.trainer import evaluate_model, predict_accuracy
 from repro.quantization.activation import ActivationQuantizer
 from repro.quantization.calibration import CalibrationMethod
 from repro.quantization.quantizer import QuantParams, fake_quantize, quantize
@@ -64,28 +64,10 @@ class EngineConfig:
     calibration_method: CalibrationMethod = CalibrationMethod.ITERATIVE
     calibration_batches: int = 4
     active_bits: Optional[int] = None  # early termination (MSB-first truncation)
-    # Execute through compiled per-layer kernel plans (vectorised
-    # gather-accumulate, fused epilogue).  False falls back to the original
-    # Python tap-loop kernels — kept for A/B benchmarking and as a debugging
-    # oracle.  With a full-precision LUT the raw kernels are bit-exact; the
-    # engine outputs differ only by the fused epilogue's float association
-    # (alpha*acc + beta vs scale*(raw - z*sum_w) + bias), ~1e-10 relative.
-    use_kernel_plans: bool = True
-    # Execute predict/evaluate through the whole-network compiled program
-    # (lower → optimize → batched executor).  False re-enters the per-layer
-    # runtime-install path on every batch — PR 1's engine, kept as the oracle
-    # and as the baseline of the graph throughput benchmark.
-    use_graph: bool = True
-    # Apply the graph-level passes (BatchNorm folding, requantize fusion).
-    # False compiles the canonical op stream, which executes the exact same
-    # plans in the exact same float association as the per-layer path.
-    graph_optimize: bool = True
-    # Pipeline optimization level (one of repro.core.pipeline.OPT_LEVELS,
-    # "O0".."O3").  None derives the level from ``graph_optimize`` ("O2" /
-    # "O0", the pre-pass-manager behaviour); an explicit level wins over
-    # ``graph_optimize``.  "O3" additionally autotunes kernel variants and
-    # tile/shard choices at compile time (bitwise-identical outputs).
-    opt_level: Optional[str] = None
+    # Pipeline optimization level (one of repro.core.pipeline.OPT_LEVELS).
+    # "O3" additionally autotunes kernel variants and tile/shard choices at
+    # compile time (bitwise-identical outputs); "O4" runs native segments.
+    opt_level: str = "O2"
 
     def __post_init__(self) -> None:
         if not 1 <= self.activation_bitwidth <= 8:
@@ -96,7 +78,7 @@ class EngineConfig:
             raise ValueError(f"lut_bitwidth must be in [2, 16], got {self.lut_bitwidth}")
         if self.active_bits is not None and not 1 <= self.active_bits <= self.activation_bitwidth:
             raise ValueError("active_bits must be in [1, activation_bitwidth]")
-        if self.opt_level is not None and self.opt_level not in OPT_LEVELS:
+        if self.opt_level not in OPT_LEVELS:
             raise ValueError(
                 f"unknown optimization level {self.opt_level!r}; valid levels: "
                 f"{', '.join(OPT_LEVELS)}"
@@ -115,7 +97,8 @@ class _CalibrationRuntime:
 
 
 class _BitSerialRuntime:
-    """Runtime that executes a weight-pool layer with the bit-serial LUT kernel."""
+    """Runtime that executes a weight-pool layer with its compiled kernel plan
+    (or, in No-LUT mode, fake-quantized through the float pool weights)."""
 
     def __init__(self, engine: "BitSerialInferenceEngine"):
         self.engine = engine
@@ -123,14 +106,10 @@ class _BitSerialRuntime:
     def run(self, layer, x: np.ndarray) -> np.ndarray:
         config = self.engine.config
         params = self.engine.activation_params[id(layer)]
-        lut = self.engine.lut
-
         if not config.use_lut:
             # "No-LUT" reference: fake-quantized activations, float pool weights.
             return _float_forward(layer, fake_quantize(x, params))
-
         q_x = quantize(x, params)
-        zero_point = params.zero_point
         if isinstance(layer, WeightPoolConv2d):
             # The expected-channel check is resolved once per layer at compile
             # time (`_pad_for`); the hot path only pads when it must.
@@ -140,44 +119,9 @@ class _BitSerialRuntime:
                     q_x,
                     ((0, 0), (0, pad), (0, 0), (0, 0)),
                     mode="constant",
-                    constant_values=zero_point,
+                    constant_values=params.zero_point,
                 )
-            if config.use_kernel_plans:
-                plan = self.engine._plan_for(layer)
-                return plan(q_x, active_bits=config.active_bits)
-            raw = bitserial_conv2d_reference(
-                q_x,
-                layer.indices,
-                lut,
-                stride=layer.stride,
-                padding=layer.padding,
-                act_bitwidth=config.activation_bitwidth,
-                active_bits=config.active_bits,
-                pad_value=zero_point,
-            )
-            # Zero-point correction: dot(a, w) = scale * (dot(q, w) - z * sum(w)).
-            w_sums = self.engine._layer_w_sums(layer)
-            out = params.scale * (raw - zero_point * w_sums.reshape(1, -1, 1, 1))
-            if layer.bias is not None:
-                out = out + layer.bias.data.reshape(1, -1, 1, 1)
-            return out
-        if isinstance(layer, WeightPoolLinear):
-            if config.use_kernel_plans:
-                plan = self.engine._plan_for(layer)
-                return plan(q_x, active_bits=config.active_bits)
-            raw = bitserial_linear_reference(
-                q_x,
-                layer.indices,
-                lut,
-                act_bitwidth=config.activation_bitwidth,
-                active_bits=config.active_bits,
-            )
-            w_sums = self.engine._layer_w_sums(layer)
-            out = params.scale * (raw - zero_point * w_sums.reshape(1, -1))
-            if layer.bias is not None:
-                out = out + layer.bias.data
-            return out
-        raise TypeError(f"unsupported weight-pool layer type {type(layer).__name__}")
+        return self.engine._plan_for(layer)(q_x, active_bits=config.active_bits)
 
 
 def _float_forward(layer, x: np.ndarray) -> np.ndarray:
@@ -230,10 +174,10 @@ class BitSerialInferenceEngine:
         # Per-layer compiled state, built lazily on first use and invalidated
         # whenever the LUT or the activation parameters change.
         self._plans: Dict[int, object] = {}
-        self._w_sums: Dict[int, np.ndarray] = {}
         self._pads: Dict[int, int] = {}
-        # Whole-network compiled state: (C, H, W) recorded during calibration,
-        # executors cached per (backend, optimize, active_bits).
+        # Whole-network compiled state: (C, H, W) recorded during calibration
+        # (the default compile shape), executors cached per
+        # (backend, level, input shape, active_bits).
         self.input_shape: Optional[Tuple[int, ...]] = None
         self._executors: Dict[tuple, Executor] = {}
         self._graph_unsupported = False
@@ -311,9 +255,8 @@ class BitSerialInferenceEngine:
 
     # -- compiled per-layer state ---------------------------------------------
     def _invalidate_compiled(self) -> None:
-        """Drop cached kernel plans, executors and sums (LUT/params changed)."""
+        """Drop cached kernel plans and executors (LUT/params changed)."""
         self._plans.clear()
-        self._w_sums.clear()
         self._pads.clear()
         self._executors.clear()
 
@@ -362,20 +305,9 @@ class BitSerialInferenceEngine:
             self._plans[key] = plan
         return plan
 
-    def _layer_w_sums(self, layer) -> np.ndarray:
-        """Per-filter pool-vector sums for the zero-point correction, cached."""
-        key = id(layer)
-        w_sums = self._w_sums.get(key)
-        if w_sums is None:
-            gathered = self.lut.pool_vector_sums()[layer.indices]
-            w_sums = gathered.reshape(layer.indices.shape[0], -1).sum(axis=1)
-            self._w_sums[key] = w_sums
-        return w_sums
-
     # -- whole-network compilation ---------------------------------------------
     def compile(
         self,
-        optimize: Optional[bool] = None,
         backend: Optional[str] = None,
         input_shape: Optional[Tuple[int, ...]] = None,
         level: Optional[str] = None,
@@ -384,22 +316,18 @@ class BitSerialInferenceEngine:
 
         Builds (and caches) the matching graph :class:`Executor`; ``predict``
         and ``evaluate`` delegate to it.  The pipeline optimization ``level``
-        (``O0``–``O3``) defaults to the engine config (``opt_level`` when
-        set, else ``graph_optimize`` → ``O2``/``O0``); an explicit boolean
-        ``optimize`` keeps its legacy meaning (``O2``/``O0``).  ``backend``
-        defaults to plan vs reference kernels per ``use_kernel_plans``;
-        ``input_shape`` to the shape recorded during calibration.  Unknown
-        level names raise :class:`ValueError` listing the valid choices.
+        (one of :data:`~repro.core.pipeline.OPT_LEVELS`) defaults to the
+        engine config's ``opt_level``; ``backend`` to ``plan`` (``native`` at
+        ``O4``); ``input_shape`` to the shape recorded during calibration.
+        Unknown level names raise :class:`ValueError` listing the valid
+        choices.
         """
-        executor = self._executor(
-            optimize=optimize, backend=backend, input_shape=input_shape, level=level
-        )
+        executor = self._executor(backend=backend, input_shape=input_shape, level=level)
         return executor.program
 
     def export(
         self,
         path,
-        optimize: Optional[bool] = None,
         input_shape: Optional[Tuple[int, ...]] = None,
         level: Optional[str] = None,
     ) -> NetworkProgram:
@@ -414,42 +342,25 @@ class BitSerialInferenceEngine:
         """
         from repro.core.export import save_program  # engine is imported by export
 
-        program = self.compile(optimize=optimize, input_shape=input_shape, level=level)
+        program = self.compile(input_shape=input_shape, level=level)
         save_program(program, path)
         return program
 
-    def _resolve_level(
-        self, optimize: Optional[bool], level: Optional[str]
-    ) -> str:
-        """The pipeline level for a compile request (explicit level wins,
-        then the legacy ``optimize`` boolean, then the engine config)."""
-        if level is not None:
-            return level
-        if optimize is not None:
-            return "O2" if optimize else "O0"
-        if self.config.opt_level is not None:
-            return self.config.opt_level
-        return "O2" if self.config.graph_optimize else "O0"
-
     def _executor(
         self,
-        optimize: Optional[bool] = None,
         backend: Optional[str] = None,
         input_shape: Optional[Tuple[int, ...]] = None,
         level: Optional[str] = None,
     ) -> Executor:
         if not self._calibrated:
             raise RuntimeError("calibrate() must be called before compiling the network")
-        level = self._resolve_level(optimize, level)
+        level = level or self.config.opt_level
         if backend is None:
             # Defaulted backends route O4 programs to the native codegen
             # backend; the executor degrades back to ``plan`` (surfacing a
             # ``fallback_reason``) on hosts that cannot build it.  An explicit
-            # ``backend="plan"`` stays the pure plan oracle.
-            if self.config.use_kernel_plans:
-                backend = "native" if level == "O4" else "plan"
-            else:
-                backend = "reference"
+            # ``backend="plan"`` stays the pure plan path.
+            backend = "native" if level == "O4" else "plan"
         input_shape = tuple(input_shape or self.input_shape or ())
         if len(input_shape) != 3:
             raise RuntimeError(
@@ -471,23 +382,13 @@ class BitSerialInferenceEngine:
             self._executors[key] = executor
         return executor
 
-    def _graph_executor_or_none(self, inputs: Optional[np.ndarray] = None) -> Optional[Executor]:
-        """The executor for the current config, or ``None`` for legacy-only modes."""
-        if not self.config.use_graph or not self.config.use_lut or self._graph_unsupported:
-            return None
-        input_shape = None
-        if inputs is not None and np.ndim(inputs) == 4:
-            # Program execution is spatial-size-agnostic (plans, pools and
-            # epilogues all adapt per batch), so varying H/W reuses the
-            # calibration-shape executor instead of recompiling per shape;
-            # only a channel-count change forces a fresh compile.
-            channels = int(np.shape(inputs)[1])
-            if self.input_shape is None or len(self.input_shape) != 3 or self.input_shape[0] != channels:
-                input_shape = tuple(np.shape(inputs)[1:])
-        if input_shape is None and (self.input_shape is None or len(self.input_shape) != 3):
-            # Lowering needs a (C, H, W) input; models calibrated on other
-            # shapes (e.g. a linear-only model fed (N, F) batches) keep
-            # running through the per-layer runtime.
+    def _graph_executor_or_none(self, inputs: np.ndarray) -> Optional[Executor]:
+        """The executor for this batch's shape, or ``None`` where no program
+        can run it: the No-LUT mode, and models the lowering rejects."""
+        input_shape = tuple(np.shape(inputs)[1:])
+        if not self.config.use_lut or self._graph_unsupported or len(input_shape) != 3:
+            # Lowering needs a (C, H, W) input; other shapes (e.g. a
+            # linear-only model fed (N, F) batches) run the per-layer runtime.
             return None
         try:
             return self._executor(input_shape=input_shape)
@@ -505,49 +406,35 @@ class BitSerialInferenceEngine:
         for layer in self.layers:
             layer.runtime = None
 
-    def __enter__(self) -> "BitSerialInferenceEngine":
+    @contextmanager
+    def _per_layer_runtime(self):
+        """Install the per-layer bit-serial runtime for one call."""
         if not self._calibrated:
-            raise RuntimeError("calibrate() must be called before entering the engine")
+            raise RuntimeError("calibrate() must be called before running the engine")
         self.model.eval()
         self._install(_BitSerialRuntime(self))
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._uninstall()
+        try:
+            yield
+        finally:
+            self._uninstall()
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Run one batch through the model in bit-serial mode.
 
-        Executes the compiled network program by default; the legacy
-        per-layer runtime path runs for ``use_graph=False``, ``use_lut=False``
-        (the No-LUT mode has no bit-serial ops to compile) and models without
-        lowering hooks.
+        Executes the compiled network program for the batch's shape; the
+        per-layer runtime runs only the No-LUT mode (no bit-serial ops to
+        compile) and models the lowering rejects.
         """
         executor = self._graph_executor_or_none(inputs)
         if executor is not None:
             return executor.run(inputs)
-        with self:
+        with self._per_layer_runtime():
             return self.model(inputs)
 
     def evaluate(self, loader: DataLoader) -> float:
         """Top-1 accuracy of the bit-serial execution over a loader."""
-        executor = self._graph_executor_or_none()
-        if executor is not None:
-            return executor.evaluate(loader)
-        with self:
-            return evaluate_model(self.model, loader)
+        return predict_accuracy(self.predict, loader)
 
     def evaluate_float(self, loader: DataLoader) -> float:
-        """Accuracy of the plain (float) weight-pool model, for comparison.
-
-        Restores whatever runtimes were installed before the call (so it can
-        be used inside an active engine context, and an exception mid-way
-        cannot leave the model half-uninstalled).
-        """
-        runtimes = [layer.runtime for layer in self.layers]
-        self._uninstall()
-        try:
-            return evaluate_model(self.model, loader)
-        finally:
-            for layer, runtime in zip(self.layers, runtimes):
-                layer.runtime = runtime
+        """Accuracy of the plain (float) weight-pool model, for comparison."""
+        return evaluate_model(self.model, loader)

@@ -1,6 +1,6 @@
 """Network-level lowering: turn a ``Module`` tree into a flat dataflow graph.
 
-The per-layer engine of PR 1 executes the network by monkey-patching
+A per-layer runtime executes the network by monkey-patching
 ``layer.runtime`` and re-entering the Python ``Module.forward`` tree for every
 batch.  Whole-network compilation instead *lowers* the model once into a flat
 list of :class:`GraphOp` nodes in execution order, each reading and writing

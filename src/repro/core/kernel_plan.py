@@ -176,8 +176,8 @@ class ConvKernelPlan:
     # same all-``pad_value`` activation group — as compile-time constants
     # during the tap reduction.  Cuts the bit-encode and gather work by the
     # border fraction (11% at 32², 34% at 8² for 3×3/pad-1) and skips the
-    # per-batch pad copy.  Changes only the float *order* of the tap sum, so
-    # the per-layer engine keeps it off to preserve PR 1 bit-exactness.
+    # per-batch pad copy.  Changes only the float *order* of the tap sum;
+    # unoptimized programs and the per-layer runtime keep it off.
     hoist_padding: bool = False
     # Compile-time per-group row offsets folding the group axis into the
     # direct-mode gather rows (hoisted out of ``_pool_partials``, which used
@@ -196,7 +196,7 @@ class ConvKernelPlan:
     # Address encoder: "packbits" (PR 1's unpackbits/packbits bit-matrix
     # transpose) or "bitmul" (the uint64 mask-multiply transpose, ~16× faster
     # for full 8-channel groups; identical addresses).  Another ahead-of-time
-    # planner specialization — the pooled path keeps PR 2's execution.
+    # planner specialization; unplanned executors keep the default.
     encoder: str = "packbits"
 
     # -- stage 1: per-pixel bit-serial pool partials ---------------------------
@@ -509,7 +509,7 @@ class ConvKernelPlan:
         else:
             # One gather per channel group covering every kernel position at
             # once (the per-tap loop then adds strided views) — KH·KW× fewer
-            # kernel launches; PR 2's schedule, kept for the pooled path.
+            # kernel launches; the default outside the ahead-of-time planner.
             scratch = scratch_buf(scratch_dict, "tap_cols", (n, h * w, kh * kw * f), pv.dtype)
             taps = scratch.reshape(n, h, w, kh * kw, f)
             for g in range(groups):

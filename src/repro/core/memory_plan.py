@@ -1,11 +1,12 @@
 """Ahead-of-time execution plans: liveness → arena offsets → fused steps.
 
-The pooled :class:`~repro.core.program.Executor` pays three per-batch costs
-the compiler can eliminate: every op walks the refcounted buffer pool, every
-piece of elementwise glue (quantize/batchnorm/activation/pool/add) is its own
-Python dispatch with its own temporaries, and nothing about the memory the
-program will touch is known before the first batch runs.  This module moves
-all of that to compile time:
+The :class:`~repro.core.program.Executor`'s interpreter walk pays three
+per-batch costs the compiler can eliminate: every intermediate is a fresh
+allocation, every piece of elementwise glue
+(quantize/batchnorm/activation/pool/add) is its own Python dispatch with its
+own temporaries, and nothing about the memory the program will touch is
+known before the first batch runs.  This module moves all of that to compile
+time for programs at ``O2`` and above:
 
 * **Buffer specs** — per-buffer *(per-sample shape, dtype)* inferred
   statically from the typed IR, so every activation's byte size is known
@@ -28,12 +29,12 @@ all of that to compile time:
   (deterministic assembly, per-sample-exact ops).
 
 The plan executes the **same ufunc sequence in the same order** as the
-pooled path, only into preallocated memory — outputs are bitwise identical,
-which `tests/core/test_memory_plan.py` enforces against both the pooled
-executor and the reference backend.  Programs the planner cannot type (an
-unbound backend, an op kind it does not know) raise
-:class:`PlanUnsupported` and the executor keeps the buffer pool as the
-fallback, which remains the path for unoptimized/reference programs.
+interpreter walk, only into preallocated memory — outputs are bitwise
+identical to the walk at the same tile (`tests/core/test_memory_plan.py`
+checks the ``O1`` walk against the ``O2`` plan, and every shard count
+against one) and match the ``reference`` backend.  Programs the planner
+cannot type (a backend without IR steps, an op kind it does not know) raise
+:class:`PlanUnsupported`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _GLUE_KINDS = frozenset(
 
 
 class PlanUnsupported(RuntimeError):
-    """The program cannot be planned ahead of time; use the pooled executor."""
+    """The program's bound schedule cannot be planned ahead of time."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def infer_buffer_specs(program, steps) -> Dict[int, BufferSpec]:
 
     The program input is typed ``float64`` — the planned executor converts
     incoming batches (data loaders already produce float64).  Dtypes then
-    propagate exactly as the pooled step implementations produce them.
+    propagate exactly as the interpreter's step implementations produce them.
     """
     specs: Dict[int, BufferSpec] = {
         program.input_id: BufferSpec(tuple(program.input_shape), np.dtype(np.float64))
@@ -186,10 +187,10 @@ def infer_buffer_specs(program, steps) -> Dict[int, BufferSpec]:
 def _compile_stage_fn(op, bound_step, active_bits, stage_key):
     """Compile one op into an out-aware ``fn(args, out, ctx)``.
 
-    Every implementation runs the exact ufunc sequence of the pooled
-    executor's `_exec_generic` (or of the kernel plan), only targeting the
-    caller-provided ``out`` — outputs are bitwise identical to the pooled
-    path.  ``out=None`` falls back to a fresh allocation (view and heap
+    Every implementation runs the exact ufunc sequence of the interpreter's
+    `_exec_generic` (or of the kernel plan), only targeting the
+    caller-provided ``out`` — outputs are bitwise identical to the
+    interpreter walk.  ``out=None`` falls back to a fresh allocation (view and heap
     placements, chain interiors that are views).
     """
     kind = op.kind
@@ -342,7 +343,7 @@ def _compile_stage_fn(op, bound_step, active_bits, stage_key):
     if kind == "linear":
         weight, bias = attrs["weight"], attrs["bias"]
         # The transposed *view* (not a contiguous copy): BLAS picks the same
-        # kernel as the pooled path's ``x @ weight.T``, keeping the result
+        # kernel as the interpreter's ``x @ weight.T``, keeping the result
         # bitwise identical.
         weight_t = weight.T
 
@@ -719,8 +720,7 @@ def _specialize_kernel_plans(steps, active_bits) -> None:
     mask-multiply bit transpose (identical addresses, ~16× less encode
     work), and precompute the hoisted-padding border tensors so shard
     workers never race to derive the same constants.  The plans are private
-    to this executor's bind — the pooled executor compiles its own,
-    untouched ones, preserving PR 2's execution for A/B comparison.
+    to this executor's bind; all variants are bitwise identical.
     """
     for step in steps:
         plan = getattr(step, "plan", None)

@@ -20,8 +20,8 @@ tuning:
   counts before/after, verifier runs) that travels with the program: into
   saved artifact headers, repository metadata, and the serve ``/stats``
   payload.
-* **Optimization levels** — ``O0`` is the reference lowering (bit-exact
-  with the per-layer engine), ``O1`` adds the graph passes (BatchNorm fold,
+* **Optimization levels** — ``O0`` is the reference lowering (matches the
+  ``reference`` backend), ``O1`` adds the graph passes (BatchNorm fold,
   requantize fusion, quantize CSE, activation-clip fold), ``O2`` adds the
   ahead-of-time fusion/arena memory plan, and ``O3`` adds compile-time
   kernel autotuning.  Every level produces the same predictions — the graph

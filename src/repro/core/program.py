@@ -18,31 +18,28 @@ optimizes it with graph-level passes, and runs it through a batched
 ``pool``            max / avg / global-avg pooling
 ``flatten``, ``add``, ``conv``, ``linear``  float glue and uncompressed layers
 
-Optimization passes (things the per-layer engine of PR 1 structurally could
-not do, because each layer only ever saw its own inputs) live in
-:mod:`repro.core.pipeline` as *registered passes* run by a
-:class:`~repro.core.pipeline.PassManager` at an ordered optimization level
-(``O0`` reference lowering … ``O3`` autotuned); :func:`compile_network`
-drives the graph stage and the :class:`Executor` the schedule/tune stages.
-The pipeline's IR verifier runs between passes in debug mode and once at
-every compile exit.
+Optimization passes live in :mod:`repro.core.pipeline` as *registered
+passes* run by a :class:`~repro.core.pipeline.PassManager` at an ordered
+optimization level (``O0`` reference lowering … ``O4`` native codegen);
+:func:`compile_network` drives the graph stage and the :class:`Executor` the
+schedule/tune/codegen stages.  The pipeline's IR verifier runs between
+passes in debug mode and once at every compile exit.
 
 Backends (``Executor(program, backend=...)``):
 
 * ``"plan"`` — compiled :mod:`repro.core.kernel_plan` kernels with the fused
-  epilogue; the fast path.
-* ``"reference"`` — the original tap-loop kernels with the explicit legacy
+  epilogue; the production path (``"native"`` adds O4 C segments).
+* ``"reference"`` — the original tap-loop kernels with the explicit
   epilogue association; the bit-exact oracle.
 * ``"cost"`` — registered by :mod:`repro.mcu.executor`: replays the program
   through the MCU cycle model instead of computing activations.
 
-Numerics: an *unoptimized* program on the ``plan`` backend executes the exact
-same compiled plans, in the exact same float association, as the per-layer
-engine — bit-exact.  The optimization passes change only the float
-association of the epilogue (BatchNorm scale folded into ``α``, the next
-scale's reciprocal folded before rounding); integer-domain relu/max-pool are
-exactly equivalent, so optimized outputs match the legacy path to float
-rounding (~1e-12 relative), with a vanishing chance of single-LSB
+Numerics: every level on the ``plan`` backend matches the ``reference``
+backend.  With a full-precision LUT the kernels are bit-exact; the fused
+epilogue (``α·acc + β``) and the optimization passes change only the float
+association (BatchNorm scale folded into ``α``, the next scale's reciprocal
+folded before rounding), so outputs agree to float rounding (~1e-12
+relative) with identical predictions, with a vanishing chance of single-LSB
 requantization flips at rounding boundaries.
 """
 
@@ -76,6 +73,7 @@ from repro.core.pipeline import (
 from repro.core.tracing import LayerTrace
 from repro.nn import Module
 from repro.nn import functional as F
+from repro.nn.training.trainer import predict_accuracy
 from repro.quantization.quantizer import QuantParams
 
 
@@ -489,8 +487,7 @@ def compile_network(
     lut: Optional[LookupTable] = None,
     activation_params: Optional[Dict[int, QuantParams]] = None,
     act_bitwidth: int = 8,
-    optimize: bool = True,
-    level: Optional[str] = None,
+    level: str = "O2",
     passes: Optional[List[str]] = None,
     debug: Optional[bool] = None,
 ) -> NetworkProgram:
@@ -504,8 +501,7 @@ def compile_network(
     The optimization pipeline is driven by the
     :class:`~repro.core.pipeline.PassManager`: ``level`` picks one of the
     ordered optimization levels (:data:`~repro.core.pipeline.OPT_LEVELS`,
-    ``O0``–``O3``); the legacy ``optimize`` flag maps to ``O2``/``O0`` when
-    no level is given.  ``passes`` optionally restricts the graph stage to
+    ``O0``–``O4``).  ``passes`` optionally restricts the graph stage to
     an explicit pass selection.  Unknown level or pass names raise
     :class:`ValueError` listing the valid choices — misconfiguration fails
     at compile time instead of silently falling through to defaults.  Graph
@@ -515,8 +511,6 @@ def compile_network(
     """
     if (lut is None) != (activation_params is None):
         raise ValueError("lut and activation_params must be provided together")
-    if level is None:
-        level = "O2" if optimize else "O0"
     manager = PassManager(level=level, passes=passes, debug=debug)
     graph = lower_model(model, input_shape)
     ops, output_id, num_buffers = _type_graph(graph, lut, activation_params)
@@ -535,38 +529,8 @@ def compile_network(
 
 
 # ---------------------------------------------------------------------------
-# Execution: buffer pool + backends
+# Execution: backends
 # ---------------------------------------------------------------------------
-class _BufferPool:
-    """Free-list of released activation buffers, keyed by (shape, dtype).
-
-    The executor returns dead intermediate buffers here and elementwise ops
-    take their outputs from it, so steady-state batch execution allocates
-    (almost) nothing after the first batch of each shape.  Each free list is
-    capped: ops that allocate their own outputs (kernels, pools) release a
-    buffer per run without ever taking one back, and an uncapped list would
-    grow by that buffer every batch for the life of the executor.
-    """
-
-    _MAX_FREE_PER_KEY = 4
-
-    def __init__(self) -> None:
-        self._free: Dict[Tuple, List[np.ndarray]] = {}
-
-    def take(self, shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
-        stack = self._free.get((tuple(shape), np.dtype(dtype).str))
-        return stack.pop() if stack else None
-
-    def take_like(self, array: np.ndarray) -> np.ndarray:
-        out = self.take(array.shape, array.dtype)
-        return out if out is not None else np.empty_like(array)
-
-    def give(self, array: np.ndarray) -> None:
-        stack = self._free.setdefault((array.shape, array.dtype.str), [])
-        if len(stack) < self._MAX_FREE_PER_KEY:
-            stack.append(array)
-
-
 @dataclass
 class Step:
     """One bound executable step of a backend schedule.
@@ -581,7 +545,6 @@ class Step:
     fn: Callable[..., np.ndarray]
     inputs: Tuple[int, ...]
     output: int
-    view: bool = False  # output may alias the input (reshape); don't pool it
     op: Optional[ProgramOp] = None
     plan: Optional[object] = None
     validated: bool = False
@@ -642,16 +605,14 @@ def _compile_op_plan(program: NetworkProgram, op: ProgramOp, epilogue: ProgramOp
 
     Optimized programs additionally compile convolutions with the padding
     hoist (border work replaced by compile-time constants); unoptimized
-    programs use the exact per-layer-engine compile path so the plan backend
-    stays bit-exact with the legacy runtime.
+    programs compile exactly like the engine's per-layer runtime plans.
     """
     params: QuantParams = op.attrs["params"]
     indices = op.attrs["indices"]
     hoist = program.optimized
     simple = epilogue.kind == "dequantize" and epilogue.attrs.get("bn") is None
-    # For the simple epilogue this is the exact compile path (same arguments,
-    # same float association) as the per-layer engine, so unoptimized programs
-    # stay bit-exact with the legacy plan runtime; optimized programs add only
+    # For the simple epilogue this is the per-layer runtime's compile path
+    # (same arguments, same float association); optimized programs add only
     # the padding hoist (documented float-order tolerance).
     if op.kind == "bitserial_conv":
         plan = compile_conv_plan(
@@ -689,7 +650,7 @@ def _compile_op_plan(program: NetworkProgram, op: ProgramOp, epilogue: ProgramOp
     return plan
 
 
-def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
+def _exec_generic(op: ProgramOp, program: NetworkProgram,
                   active_bits: Optional[int] = None) -> Callable:
     """Executor for every op kind shared between the plan/reference backends."""
     kind = op.kind
@@ -744,9 +705,7 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
         beta = attrs["beta"].reshape(1, -1, 1, 1)
 
         def fn(x):
-            out = pool.take(x.shape, x.dtype)
-            if out is None:
-                out = np.empty_like(x)
+            out = np.empty_like(x)
             # Same association as BatchNorm2d.forward in eval mode.
             np.subtract(x, mean, out=out)
             np.multiply(out, inv_std, out=out)
@@ -757,18 +716,8 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
         return fn
     if kind == "activation":
         if attrs["fn"] == "relu6":
-            def fn(x):
-                out = pool.take(x.shape, x.dtype)
-                return np.clip(x, 0.0, 6.0, out=out) if out is not None else np.clip(x, 0.0, 6.0)
-            return fn
-
-        def fn(x):
-            out = pool.take(x.shape, x.dtype)
-            if out is None:
-                return np.maximum(x, x.dtype.type(0))
-            return np.maximum(x, x.dtype.type(0), out=out)
-
-        return fn
+            return lambda x: np.clip(x, 0.0, 6.0)
+        return lambda x: np.maximum(x, x.dtype.type(0))
     if kind == "pool":
         variant = attrs["pool"]
         if variant == "global_avg":
@@ -784,13 +733,7 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram, pool: _BufferPool,
     if kind == "flatten":
         return lambda x: x.reshape(x.shape[0], -1)
     if kind == "add":
-        def fn(x, y):
-            out = pool.take(x.shape, x.dtype)
-            if out is None:
-                return x + y
-            return np.add(x, y, out=out)
-
-        return fn
+        return lambda x, y: x + y
     if kind == "conv":
         weight, bias = attrs["weight"], attrs["bias"]
         stride, padding, groups = attrs["stride"], attrs["padding"], attrs["groups"]
@@ -881,16 +824,16 @@ def _bind_plan(program: NetworkProgram, executor: "Executor",
         else:
             steps.append(
                 Step(
-                    fn=_exec_generic(op, program, executor.pool, active_bits),
+                    fn=_exec_generic(op, program, active_bits),
                     inputs=op.inputs,
                     output=op.output,
-                    view=op.kind == "flatten",
                     op=op,
                 )
             )
     # Auto-tile only optimized programs: micro-batching is per-sample exact
     # for every op we emit, but BLAS reorders the float convs' reductions
-    # with batch size, and the unoptimized program is the bit-exact oracle.
+    # with batch size, so unoptimized programs keep whole batches like the
+    # reference backend.
     if executor.tile is None and peak_per_image and program.optimized:
         executor.tile = int(np.clip(_TILE_BUDGET_BYTES // peak_per_image, 1, 64))
     return steps
@@ -902,10 +845,9 @@ def _bind_reference(program: NetworkProgram, executor: "Executor",
     _require_bound(program)
     return [
         Step(
-            fn=_exec_generic(op, program, executor.pool, active_bits),
+            fn=_exec_generic(op, program, active_bits),
             inputs=op.inputs,
             output=op.output,
-            view=op.kind == "flatten",
             op=op,
         )
         for op in program.ops
@@ -980,35 +922,28 @@ def _default_shard_count() -> int:
 class Executor:
     """Runs a bound :class:`NetworkProgram` batch-wise through a backend.
 
-    Optimized plan-backend programs execute through an **ahead-of-time
-    execution plan** (:mod:`repro.core.memory_plan`): elementwise glue fused
-    into single steps, every intermediate placed at a fixed offset of a
-    preallocated arena, and large batches split across a pool of per-shard
-    arenas on worker threads (NumPy releases the GIL in the hot kernels;
-    single-core machines stay serial).  ``run`` is thread-safe on this path —
-    concurrent callers share the shard pool.
+    Plan/native-backend programs compiled at ``O2`` or above execute
+    through an **ahead-of-time execution plan**
+    (:mod:`repro.core.memory_plan`): elementwise glue fused into single
+    steps, every intermediate placed at a fixed offset of a preallocated
+    arena, and large batches split across a pool of per-shard arenas on
+    worker threads (NumPy releases the GIL in the hot kernels; single-core
+    machines stay serial).  ``run`` is thread-safe on this path — concurrent
+    callers share the shard pool.
 
-    The refcounted, shape-keyed buffer pool remains the fallback — and the
-    path for unoptimized/reference programs, whose bit-exactness contract
-    against the per-layer engine predates the planner.
+    Everything else — the ``reference`` oracle, the ``cost`` model and
+    ``O0``/``O1`` plan programs — runs through one interpreter walk over the
+    bound steps, allocating each intermediate fresh.
 
     Parameters
     ----------
     tile:
         Micro-batch size; ``None`` lets the backend choose (the plan backend
         sizes it so the largest layer's stage-1 working set stays
-        cache-resident), 0 disables tiling on the pooled path.
+        cache-resident), 0 disables tiling on the interpreter walk.
     n_shards:
         Worker arenas for the planned path; ``None`` picks one per core
         (capped at 8, 1 on single-core machines).
-    memory_plan:
-        Force the ahead-of-time plan on (raises
-        :class:`~repro.core.memory_plan.PlanUnsupported` when the program
-        cannot be planned) or off (always pool).  Defaults to planning
-        exactly the optimized plan-backend programs.
-    track_memory:
-        Record ``peak_pool_bytes`` (live buffers + pool free lists) while
-        running on the pooled path — benchmark instrumentation.
     """
 
     def __init__(
@@ -1017,8 +952,6 @@ class Executor:
         backend: str = "plan",
         tile: Optional[int] = None,
         n_shards: Optional[int] = None,
-        memory_plan: Optional[bool] = None,
-        track_memory: bool = False,
         **options,
     ):
         if backend not in BACKENDS:
@@ -1027,7 +960,6 @@ class Executor:
             raise KeyError(f"unknown backend '{backend}'; registered: {known}{hint}")
         self.program = program
         self.backend = backend
-        self.pool = _BufferPool()
         # Batch tile: incoming batches are split into micro-batches of this
         # size and run through the whole program tile-by-tile, keeping the
         # inter-layer working set cache-resident.  Ops treat samples
@@ -1036,22 +968,12 @@ class Executor:
         # footprint); pass 0 to disable.
         requested_tile = tile  # None = tunable by the O3 autotuner
         self.tile = tile
-        self.track_memory = track_memory
-        self.peak_pool_bytes = 0
         self._steps = BACKENDS[backend](program, self, **options)
-        self._refcounts: Dict[int, int] = {}
-        for step in self._steps:
-            for buf in step.inputs:
-                self._refcounts[buf] = self._refcounts.get(buf, 0) + 1
-        self._refcounts[program.output_id] = (
-            self._refcounts.get(program.output_id, 0) + 1
-        )
-        # Never recycle the caller's input, nor buffers a reshape view borrows.
-        self._no_pool = {program.input_id}
-        for step in self._steps:
-            if step.view:
-                self._no_pool.update(step.inputs)
-                self._no_pool.add(step.output)
+        last_read = {buf: i for i, step in enumerate(self._steps) for buf in step.inputs}
+        last_read.pop(program.output_id, None)
+        self._dead_after: List[List[int]] = [[] for _ in self._steps]
+        for buf, i in last_read.items():
+            self._dead_after[i].append(buf)
 
         # -- ahead-of-time execution plan (arena + fused steps + shards) ----
         # The schedule ("memory_plan") and tune ("autotune") pipeline stages
@@ -1059,14 +981,6 @@ class Executor:
         # arena plan, O3 additionally autotunes kernel variants and the
         # tile/shard choices before planning.
         level = program.effective_opt_level
-        explicit_plan = memory_plan is True
-        if memory_plan is None:
-            memory_plan = (
-                backend in ("plan", "native")
-                and program.bound
-                and program.optimized
-                and level_enables(level, "O2")
-            )
         self.exec_plan = None
         self._native = None  # NativeExecution after a successful O4 bind
         self.plan_info: Optional[Dict[str, Any]] = None
@@ -1075,18 +989,11 @@ class Executor:
         self._shard_threads = None
         self._shard_lock = threading.Lock()
         self.max_shards_used = 0
-        if memory_plan:
-            from repro.core.memory_plan import PlanUnsupported, compile_execution_plan
+        if backend in ("plan", "native") and level_enables(level, "O2"):
+            from repro.core.memory_plan import compile_execution_plan
 
             plan_tile = self.tile if self.tile else 64
-            requested_shards = n_shards
-            bound_tile = self.tile  # the backend's heuristic (or caller) tile
-            if (
-                backend in ("plan", "native")
-                and program.bound
-                and program.optimized
-                and level_enables(level, "O3")
-            ):
+            if level_enables(level, "O3"):
                 # A previous bind's recorded winners (this session or a
                 # loaded artifact's header) replay deterministically with no
                 # timing runs; only a first-ever bind micro-benchmarks.
@@ -1104,61 +1011,36 @@ class Executor:
                     self.tile = plan_tile = int(self.autotune["tile"]["chosen"])
                 if n_shards is None:
                     n_shards = int(self.autotune["n_shards"]["chosen"])
-            try:
-                self.exec_plan = compile_execution_plan(
-                    program,
-                    self._steps,
-                    tile=plan_tile,
-                    active_bits=options.get("active_bits"),
-                )
-            except PlanUnsupported:
-                # Auto-selected planning falls back to the buffer pool; an
-                # explicit request surfaces why the program cannot be
-                # planned.  The pooled fallback keeps PR 2's execution, so
-                # every tuned decision rolls back: the tile/shard choices,
-                # and the kernel-plan specializations the tuner already
-                # applied in place (bitwise-identical either way, but the
-                # pooled path is the A/B baseline and must stay canonical).
-                if explicit_plan:
-                    raise
-                if self.autotune is not None:
-                    for step in self._steps:
-                        plan = getattr(step, "plan", None)
-                        if plan is None:
-                            continue
-                        conv_plan = getattr(plan, "conv_plan", plan)
-                        if getattr(conv_plan, "_autotuned", False):
-                            conv_plan.tap_gather = "fused"
-                            conv_plan.encoder = "packbits"
-                            conv_plan._autotuned = False
-                self.autotune = None
-                self.tile = bound_tile
-                n_shards = requested_shards
-            else:
-                # Record the schedule/tune stages only once they are live.
-                if self.autotune is not None:
-                    record_stage_report(
-                        program,
-                        {
-                            "name": "autotune",
-                            "stage": "tune",
-                            "counters": {
-                                "layers_tuned": self.autotune["layers_tuned"],
-                                "trials": self.autotune["trials"],
-                                "tile": self.autotune["tile"]["chosen"],
-                                "n_shards": self.autotune["n_shards"]["chosen"],
-                            },
-                            "decisions": persistable_autotune(self.autotune),
-                        },
-                    )
+            self.exec_plan = compile_execution_plan(
+                program,
+                self._steps,
+                tile=plan_tile,
+                active_bits=options.get("active_bits"),
+            )
+            # Record the schedule/tune stages only once they are live.
+            if self.autotune is not None:
                 record_stage_report(
                     program,
                     {
-                        "name": "memory_plan",
-                        "stage": "schedule",
-                        "counters": dict(self.exec_plan.counters),
+                        "name": "autotune",
+                        "stage": "tune",
+                        "counters": {
+                            "layers_tuned": self.autotune["layers_tuned"],
+                            "trials": self.autotune["trials"],
+                            "tile": self.autotune["tile"]["chosen"],
+                            "n_shards": self.autotune["n_shards"]["chosen"],
+                        },
+                        "decisions": persistable_autotune(self.autotune),
                     },
                 )
+            record_stage_report(
+                program,
+                {
+                    "name": "memory_plan",
+                    "stage": "schedule",
+                    "counters": dict(self.exec_plan.counters),
+                },
+            )
         # -- native (O4) codegen bind ----------------------------------------
         # The ``codegen`` pipeline stage runs here, after planning: the
         # native backend lowers the planned schedule's eligible steps to C,
@@ -1258,14 +1140,22 @@ class Executor:
             threads.shutdown(wait=True)
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        """Execute one batch and return the output.
+        """Execute one ``(N,) + program.input_shape`` batch; return the output.
 
-        The planned path writes every shard's result into one preallocated
-        output slice, so assembly is deterministic and the result is
-        bitwise identical to a serial run.
+        Any other shape raises :class:`ValueError` before a kernel runs: the
+        plans, arenas and native segments are all sized for the compiled
+        geometry.  The planned path writes every shard's result into one
+        preallocated output slice, so assembly is deterministic and the
+        result is bitwise identical to a serial run.
         """
         x = np.asarray(x)
-        if self.exec_plan is not None and x.ndim == len(self.program.input_shape) + 1:
+        expected = tuple(self.program.input_shape)
+        if x.shape[1:] != expected or x.ndim != len(expected) + 1:
+            raise ValueError(
+                f"expected an input batch of shape (N, {', '.join(map(str, expected))}), "
+                f"got {x.shape}"
+            )
+        if self.exec_plan is not None:
             return self._run_planned(x)
         if self.tile and x.shape[0] > self.tile:
             return np.concatenate(
@@ -1274,23 +1164,13 @@ class Executor:
         return self._run_tile(x)
 
     def _run_tile(self, x: np.ndarray) -> np.ndarray:
-        buffers: Dict[int, np.ndarray] = {self.program.input_id: np.asarray(x)}
-        remaining = dict(self._refcounts)
-        for step in self._steps:
-            args = [buffers[buf] for buf in step.inputs]
-            buffers[step.output] = step.fn(*args)
-            for buf in step.inputs:
-                remaining[buf] -= 1
-                if remaining[buf] == 0:
-                    dead = buffers.pop(buf)
-                    if buf not in self._no_pool:
-                        self.pool.give(dead)
-            if self.track_memory:
-                live = sum(arr.nbytes for arr in buffers.values())
-                pooled = sum(
-                    arr.nbytes for stack in self.pool._free.values() for arr in stack
-                )
-                self.peak_pool_bytes = max(self.peak_pool_bytes, live + pooled)
+        """The interpreter walk: every bound step in order, each intermediate
+        dropped after its last reader."""
+        buffers: Dict[int, np.ndarray] = {self.program.input_id: x}
+        for step, dead in zip(self._steps, self._dead_after):
+            buffers[step.output] = step.fn(*[buffers[buf] for buf in step.inputs])
+            for buf in dead:
+                del buffers[buf]
         return buffers[self.program.output_id]
 
     # -- planned execution ---------------------------------------------------
@@ -1388,12 +1268,4 @@ class Executor:
 
     def evaluate(self, loader) -> float:
         """Top-1 accuracy over a data loader."""
-        correct = 0
-        total = 0
-        for inputs, targets in loader:
-            logits = self.run(inputs)
-            correct += int((logits.argmax(axis=1) == targets).sum())
-            total += len(targets)
-        if total == 0:
-            raise ValueError("evaluation loader produced no samples")
-        return correct / total
+        return predict_accuracy(self.run, loader)

@@ -121,17 +121,18 @@ def build_source_bundle(program, active_bits=None) -> SourceBundle:
     the program cannot be planned (it must be compiled at O2 or higher).
     """
     from repro.core.codegen import CodegenUnsupported, emit_native
+    from repro.core.memory_plan import PlanUnsupported
     from repro.core.program import Executor
 
     executor = Executor(
-        program,
-        backend="plan",
-        tile=1,
-        n_shards=1,
-        memory_plan=True,
-        active_bits=active_bits,
+        program, backend="plan", tile=1, n_shards=1, active_bits=active_bits
     )
     plan = executor.exec_plan
+    if plan is None:
+        raise PlanUnsupported(
+            f"program compiled at {program.effective_opt_level} has no execution "
+            "plan; compile it at O2 or higher"
+        )
     if np.dtype(plan.out_dtype) != np.float64:
         raise CodegenUnsupported(
             f"standalone entry emits double output; program produces {plan.out_dtype}"

@@ -119,27 +119,23 @@ class Trainer:
 
     def evaluate(self, loader: DataLoader) -> float:
         """Top-1 accuracy of the model over a loader, in eval mode."""
-        self.model.eval()
-        correct = 0
-        total = 0
-        for inputs, targets in loader:
-            logits = self.model(inputs)
-            correct += int((logits.argmax(axis=1) == targets).sum())
-            total += len(targets)
-        if total == 0:
-            raise ValueError("evaluation loader produced no samples")
-        return correct / total
+        return evaluate_model(self.model, loader)
 
 
-def evaluate_model(model: Module, loader: DataLoader) -> float:
-    """Convenience wrapper: accuracy of ``model`` over ``loader`` in eval mode."""
-    model.eval()
+def predict_accuracy(predict: Callable[[np.ndarray], np.ndarray], loader) -> float:
+    """Top-1 accuracy of ``predict(inputs) -> logits`` over a loader."""
     correct = 0
     total = 0
     for inputs, targets in loader:
-        logits = model(inputs)
+        logits = predict(inputs)
         correct += int((logits.argmax(axis=1) == targets).sum())
         total += len(targets)
     if total == 0:
         raise ValueError("evaluation loader produced no samples")
     return correct / total
+
+
+def evaluate_model(model: Module, loader: DataLoader) -> float:
+    """Convenience wrapper: accuracy of ``model`` over ``loader`` in eval mode."""
+    model.eval()
+    return predict_accuracy(model, loader)

@@ -136,8 +136,8 @@ class _Pipeline:
             # One shared, internally-sharded executor when the program plans
             # ahead of time (its run() is thread-safe: worker threads check
             # shard arenas out of the executor's pool); otherwise each worker
-            # thread builds its own executor — buffer-pooled executors are
-            # single-threaded objects (plan caches, buffer pools).
+            # thread builds its own executor — unplanned executors are
+            # single-threaded objects (plan caches and scratch).
             # O4 artifacts route to the native backend (rebuilt — or
             # cache-loaded — deterministically from the artifact's persisted
             # source); the executor downgrades to ``plan`` with a surfaced

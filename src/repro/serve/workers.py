@@ -10,7 +10,7 @@ Two interchangeable pools sit behind the dynamic batcher; both expose
   arenas are idle, so a single large batch can still fan out across cores
   while concurrent batches divide the pool between them.  Without sharing
   (the default, and the fallback for non-thread-safe executors) each worker
-  owns its own executor built by the factory — buffer-pooled executors are
+  owns its own executor built by the factory — unplanned executors are
   single-threaded objects.  NumPy releases the GIL inside the hot kernels,
   so threads overlap real work either way.
 * :class:`ProcessWorkerPool` — N OS processes, each loading the compiled
@@ -104,7 +104,7 @@ class ThreadWorkerPool:
 
     By default ``executor_factory`` is called once per worker, inside the
     worker thread, so pool construction is cheap and per-worker state
-    (compiled plans, buffer pools) is never shared.  With ``shared=True``
+    (compiled plans, scratch) is never shared.  With ``shared=True``
     the factory is called once, in the constructor, and every worker runs
     batches on the same executor — sound only for thread-safe executors
     (planned executors whose ``run`` checks shard arenas out of a pool); a

@@ -47,6 +47,40 @@ def small_model():
 
 
 @pytest.fixture()
+def mlp_engine():
+    """A calibrated engine over a two-layer MLP fed ``(N, 32)`` batches.
+
+    The lowering needs a ``(C, H, W)`` input, so this model only ever runs
+    through the engine's per-layer runtime.  Returns ``(engine, loader)``.
+    """
+    from repro.core import BitSerialInferenceEngine, EngineConfig
+    from repro.core.layers import WeightPoolLinear
+    from repro.nn import Linear, Module, ReLU
+    from repro.nn.data.dataset import ArrayDataset
+
+    class MLP(Module):
+        def __init__(self, pool):
+            super().__init__()
+            self.fc1 = WeightPoolLinear(32, 16, pool, rng=0)
+            self.act = ReLU()
+            self.fc2 = Linear(16, 10, rng=1)
+
+        def forward(self, x):
+            return self.fc2(self.act(self.fc1(x)))
+
+    rng = np.random.default_rng(0)
+    pool = WeightPool(vectors=rng.normal(size=(16, 8)))
+    inputs = rng.normal(size=(32, 32))
+    targets = rng.integers(0, 10, size=32)
+    loader = DataLoader(ArrayDataset(inputs, targets), batch_size=16)
+    engine = BitSerialInferenceEngine(
+        MLP(pool), pool, EngineConfig(lut_bitwidth=8, calibration_batches=2)
+    )
+    engine.calibrate(loader)
+    return engine, loader
+
+
+@pytest.fixture()
 def compressed_small_model(small_model):
     """The small model compressed with a 16-entry pool (no fine-tuning)."""
     return compress_model(

@@ -1,5 +1,7 @@
 """Tests for whole-network lowering, the program IR, passes, and the executor."""
 
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -92,8 +94,8 @@ class TestCompile:
 
     def test_optimize_folds_batchnorm_and_fuses_requantize(self):
         engine = _calibrated_engine("resnet14_tiny")
-        plain = engine.compile(optimize=False)
-        optimized = engine.compile(optimize=True)
+        plain = engine.compile(level="O0")
+        optimized = engine.compile(level="O2")
         # Every BatchNorm behind a compressed conv folds into the epilogue;
         # only the (uncompressed) stem's BN survives.
         assert plain.count("batchnorm") == 15
@@ -128,49 +130,54 @@ class TestCompile:
         assert "bitserial_conv" in text and "requantize" in text
 
 
+def _reference(engine, level="O0"):
+    """The bit-exact oracle: the program on the tap-loop reference backend."""
+    return Executor(engine.compile(level=level), backend="reference")
+
+
 @pytest.mark.parametrize("model_name", ["resnet14_tiny", "mobilenetv2_tiny"])
 class TestExecutorEquivalence:
-    """Property tests of the acceptance criterion: graph executor vs legacy."""
+    """Property tests of the acceptance criterion: plan backend vs oracle."""
 
-    def test_unoptimized_plan_backend_bit_exact(self, model_name):
+    def test_unoptimized_plan_backend_matches_reference(self, model_name):
         engine = _calibrated_engine(model_name)  # full-precision LUT
         x = np.random.default_rng(1).normal(size=(4, 3, 32, 32))
-        engine.config = replace(engine.config, use_graph=False)
-        legacy = engine.predict(x)
-        engine.config = replace(engine.config, use_graph=True, graph_optimize=False)
-        graph = engine.predict(x)
-        np.testing.assert_array_equal(graph, legacy)
+        oracle = _reference(engine).run(x)
+        # Bit-exact kernels; only the fused epilogue's float association
+        # (alpha*acc + beta vs scale*(raw - z*sum_w) + bias) differs.
+        plan = engine.compile(level="O0")
+        np.testing.assert_allclose(
+            Executor(plan).run(x), oracle, rtol=1e-12, atol=1e-10
+        )
 
     def test_optimized_plan_backend_within_tolerance(self, model_name):
         engine = _calibrated_engine(model_name)
         x = np.random.default_rng(2).normal(size=(4, 3, 32, 32))
-        engine.config = replace(engine.config, use_graph=False)
-        legacy = engine.predict(x)
-        engine.config = replace(engine.config, use_graph=True, graph_optimize=True)
+        oracle = _reference(engine).run(x)
         optimized = engine.predict(x)
         # Documented float-association tolerance of the fusion passes.
-        scale = max(float(np.abs(legacy).max()), 1e-12)
-        assert np.abs(optimized - legacy).max() < 1e-9 * scale
-        assert np.array_equal(optimized.argmax(axis=1), legacy.argmax(axis=1))
+        scale = max(float(np.abs(oracle).max()), 1e-12)
+        assert np.abs(optimized - oracle).max() < 1e-9 * scale
+        assert np.array_equal(optimized.argmax(axis=1), oracle.argmax(axis=1))
 
-    def test_reference_backend_matches_legacy_reference(self, model_name):
+    def test_reference_backend_runs_optimized_programs(self, model_name):
+        # The oracle's own epilogues (folded BatchNorm, fused requantize)
+        # against the plan backend's fused kernels on the same O1 program.
         engine = _calibrated_engine(model_name)
         x = np.random.default_rng(3).normal(size=(2, 3, 32, 32))
-        engine.config = replace(
-            engine.config, use_kernel_plans=False, use_graph=False
-        )
-        legacy = engine.predict(x)
-        engine.config = replace(engine.config, use_graph=True, graph_optimize=False)
-        graph = engine.predict(x)
-        np.testing.assert_array_equal(graph, legacy)
+        program = engine.compile(level="O1")
+        assert program.count("requantize") > 0
+        oracle = Executor(program, backend="reference").run(x)
+        plan = Executor(program).run(x)
+        scale = max(float(np.abs(oracle).max()), 1e-12)
+        assert np.abs(plan - oracle).max() < 1e-9 * scale
+        assert np.array_equal(plan.argmax(axis=1), oracle.argmax(axis=1))
 
     def test_quantized_lut_identical_predictions(self, model_name):
         engine = _calibrated_engine(model_name, lut_bitwidth=8)
         loader = _loader(seed=7, n=16)
         graph_acc = engine.evaluate(loader)
-        engine.config = replace(engine.config, use_graph=False)
-        legacy_acc = engine.evaluate(loader)
-        assert graph_acc == legacy_acc
+        assert graph_acc == _reference(engine).evaluate(loader)
 
 
 class TestExecutorDetails:
@@ -179,67 +186,42 @@ class TestExecutorDetails:
         with pytest.raises(KeyError):
             Executor(engine.compile(), backend="no-such-backend")
 
-    def test_executor_reuses_released_buffers(self):
-        # The buffer pool is the fallback path: optimized plan programs
-        # execute through the ahead-of-time arena plan, so the pool is
-        # exercised by explicitly opting out of it.
+    @pytest.mark.parametrize("backend", ["plan", "reference", "native"])
+    def test_run_rejects_other_input_shapes(self, backend):
+        """Regression: a 32x32-compiled executor used to run 48x48 / 16x16
+        batches (native: silently wrong logits off the compiled geometry)."""
         engine = _calibrated_engine("resnet_s_tiny")
-        executor = Executor(engine.compile(), memory_plan=False)
-        x = np.random.default_rng(4).normal(size=(2, 3, 32, 32))
-        first = executor.run(x)
-        assert executor.pool._free, "released buffers should populate the pool"
-        second = executor.run(x)
-        np.testing.assert_array_equal(first, second)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # no-compiler fallback
+            program = engine.compile(level="O4" if backend == "native" else "O2")
+            executor = Executor(program, backend=backend)
+        for shape in [(3, 3, 48, 48), (3, 3, 16, 16), (3, 32, 32), (3, 4, 32, 32)]:
+            with pytest.raises(ValueError, match=r"\(N, 3, 32, 32\).*" + re.escape(str(shape))):
+                executor.run(np.zeros(shape))
+        assert executor.run(np.zeros((2, 3, 32, 32))).shape == (2, 10)
 
-    def test_buffer_pool_is_bounded_across_runs(self):
-        """Regression: free lists must not grow by one dead buffer per batch."""
+    def test_engine_compiles_per_input_shape(self):
+        """Batches of another spatial size get their own program, matching
+        the per-shape reference oracle."""
         engine = _calibrated_engine("resnet_s_tiny")
-        executor = Executor(engine.compile(), memory_plan=False)
-        from repro.core.program import _BufferPool
+        x = np.random.default_rng(4).normal(size=(3, 3, 48, 48))
+        out = engine.predict(x)
+        oracle = Executor(
+            engine.compile(level="O0", input_shape=(3, 48, 48)), backend="reference"
+        ).run(x)
+        scale = max(float(np.abs(oracle).max()), 1e-12)
+        assert np.abs(out - oracle).max() < 1e-9 * scale
+        assert np.array_equal(out.argmax(axis=1), oracle.argmax(axis=1))
 
-        x = np.random.default_rng(4).normal(size=(4, 3, 32, 32))
-        cap = _BufferPool._MAX_FREE_PER_KEY
-        for _ in range(cap + 2):
-            executor.run(x)
-        sizes = {key: len(stack) for key, stack in executor.pool._free.items()}
-        assert all(size <= cap for size in sizes.values())
-        for _ in range(5):
-            executor.run(x)
-        after = {key: len(stack) for key, stack in executor.pool._free.items()}
-        assert after == sizes
-
-    def test_linear_only_model_falls_back_to_legacy_runtime(self):
+    def test_linear_only_model_falls_back_to_per_layer_runtime(self, mlp_engine):
         """Regression: non-(C,H,W) models must keep working through predict."""
-        from repro.core import BitSerialInferenceEngine, EngineConfig
-        from repro.core.layers import WeightPoolLinear
-        from repro.core.weight_pool import WeightPool
-        from repro.nn import Linear, Module, ReLU
-
-        class MLP(Module):
-            def __init__(self, pool):
-                super().__init__()
-                self.fc1 = WeightPoolLinear(32, 16, pool, rng=0)
-                self.act = ReLU()
-                self.fc2 = Linear(16, 10, rng=1)
-
-            def forward(self, x):
-                return self.fc2(self.act(self.fc1(x)))
-
-        rng = np.random.default_rng(0)
-        pool = WeightPool(vectors=rng.normal(size=(16, 8)))
-        model = MLP(pool)
-        inputs = rng.normal(size=(32, 32))
-        targets = rng.integers(0, 10, size=32)
-        loader = DataLoader(ArrayDataset(inputs, targets), batch_size=16)
-        engine = BitSerialInferenceEngine(
-            model, pool, EngineConfig(lut_bitwidth=8, calibration_batches=2)
-        )
-        engine.calibrate(loader)
-        out = engine.predict(rng.normal(size=(4, 32)))
+        engine, loader = mlp_engine
+        out = engine.predict(np.random.default_rng(0).normal(size=(4, 32)))
         assert out.shape == (4, 10)
         assert 0.0 <= engine.evaluate(loader) <= 1.0
+        assert not engine._executors
 
-    def test_padded_thin_layers_execute_and_match_legacy(self):
+    def test_padded_thin_layers_execute_and_match_reference(self):
         # A width multiplier producing 5-channel convolutions with group size
         # 8 forces zero-point channel padding; the program materialises the
         # pad as an explicit compile-time op instead of a per-batch check.
@@ -247,17 +229,16 @@ class TestExecutorDetails:
             "tinyconv", model_kwargs={"width_mult": 0.15},
             pad_channels=True, compress_first_layer=False,
         )
-        program = engine.compile(optimize=False)
+        program = engine.compile(level="O0")
         assert program.count("pad_channels") > 0
         x = np.random.default_rng(5).normal(size=(2, 3, 32, 32))
-        engine.config = replace(engine.config, use_graph=False)
-        legacy = engine.predict(x)
-        engine.config = replace(engine.config, use_graph=True, graph_optimize=False)
-        np.testing.assert_array_equal(engine.predict(x), legacy)
-        engine.config = replace(engine.config, graph_optimize=True)
+        oracle = _reference(engine).run(x)
+        np.testing.assert_allclose(
+            Executor(program).run(x), oracle, rtol=1e-12, atol=1e-10
+        )
         optimized = engine.predict(x)
-        scale = max(float(np.abs(legacy).max()), 1e-12)
-        assert np.abs(optimized - legacy).max() < 1e-9 * scale
+        scale = max(float(np.abs(oracle).max()), 1e-12)
+        assert np.abs(optimized - oracle).max() < 1e-9 * scale
 
     def test_active_bits_truncation_through_graph(self):
         engine = _calibrated_engine("resnet_s_tiny")

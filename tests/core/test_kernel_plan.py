@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BitSerialInferenceEngine, EngineConfig
+from repro.core import BitSerialInferenceEngine, EngineConfig, Executor
 from repro.core.bitserial import (
     bit_vector_values,
     bitserial_conv2d,
@@ -268,13 +268,12 @@ class TestEnginePlanPath:
         targets = rng.integers(0, 10, size=32)
         return DataLoader(ArrayDataset(inputs, targets), batch_size=16)
 
-    def test_plan_path_bit_exact_with_legacy_path(
+    def test_plan_path_matches_reference_backend(
         self, compressed_small_model, calibration_loader
     ):
-        """Whole-network invariant: plans and the tap-loop path agree exactly
-        (full-precision LUT) on every layer, hence on the logits."""
-        from dataclasses import replace
-
+        """Whole-network invariant: plans and the tap-loop reference backend
+        agree exactly (full-precision LUT) on every layer, hence on the
+        logits up to the fused epilogue's float association."""
         engine = BitSerialInferenceEngine(
             compressed_small_model.model,
             compressed_small_model.pool,
@@ -282,27 +281,15 @@ class TestEnginePlanPath:
         )
         engine.calibrate(calibration_loader)
         x = np.random.default_rng(9).normal(size=(4, 3, 32, 32))
-        engine.config = replace(engine.config, use_kernel_plans=True)
         plan_out = engine.predict(x)
-        engine.config = replace(engine.config, use_kernel_plans=False)
-        legacy_out = engine.predict(x)
-        np.testing.assert_allclose(plan_out, legacy_out, rtol=1e-12, atol=1e-10)
+        reference_out = Executor(engine.compile(), backend="reference").run(x)
+        np.testing.assert_allclose(plan_out, reference_out, rtol=1e-12, atol=1e-10)
 
-    def test_plan_cache_invalidated_on_bitwidth_change(
-        self, compressed_small_model, calibration_loader
-    ):
-        from dataclasses import replace
-
-        engine = BitSerialInferenceEngine(
-            compressed_small_model.model,
-            compressed_small_model.pool,
-            EngineConfig(
-                activation_bitwidth=8, lut_bitwidth=8, calibration_batches=2,
-                use_graph=False,  # exercise the per-layer plan cache directly
-            ),
-        )
-        engine.calibrate(calibration_loader)
-        x = np.random.default_rng(10).normal(size=(2, 3, 32, 32))
+    def test_plan_cache_invalidated_on_bitwidth_change(self, mlp_engine):
+        # The MLP cannot be lowered, so predict runs the per-layer runtime
+        # and its kernel-plan cache.
+        engine, _ = mlp_engine
+        x = np.random.default_rng(10).normal(size=(2, 32))
         engine.predict(x)
         assert engine._plans
         engine.set_activation_bitwidth(4)
@@ -314,11 +301,23 @@ class TestEnginePlanPath:
         engine.set_lut_bitwidth(4)
         assert not engine._plans
         assert np.all(np.isfinite(out4))
-        # The whole-network executor cache invalidates on the same events.
-        engine.config = replace(engine.config, use_graph=True)
-        engine.predict(x)
-        assert engine._executors
+
+    def test_executor_cache_invalidated_on_bitwidth_change(
+        self, compressed_small_model, calibration_loader
+    ):
+        engine = BitSerialInferenceEngine(
+            compressed_small_model.model,
+            compressed_small_model.pool,
+            EngineConfig(activation_bitwidth=8, lut_bitwidth=8, calibration_batches=2),
+        )
+        engine.calibrate(calibration_loader)
+        engine.predict(np.random.default_rng(10).normal(size=(2, 3, 32, 32)))
+        assert engine._executors and not engine._plans
         engine.set_activation_bitwidth(6)
+        assert not engine._executors
+        engine.predict(np.random.default_rng(10).normal(size=(2, 3, 32, 32)))
+        assert engine._executors
+        engine.set_lut_bitwidth(4)
         assert not engine._executors
 
 

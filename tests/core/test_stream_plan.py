@@ -42,7 +42,7 @@ def _compiled_program(model_name, image_size=32, **model_kwargs):
         EngineConfig(activation_bitwidth=8, lut_bitwidth=8, calibration_batches=2),
     )
     engine.calibrate(loader)
-    return engine.compile(optimize=True)
+    return engine.compile(level="O2")
 
 
 @pytest.fixture(scope="module")

@@ -60,14 +60,14 @@ def served(tmp_path_factory) -> ServedModel:
         result.model, result.pool, EngineConfig(lut_bitwidth=8, calibration_batches=2)
     )
     engine.calibrate(loader)
-    program = engine.compile(optimize=True)
+    program = engine.compile(level="O2")
     artifact = tmp_path_factory.mktemp("artifact") / "resnet_s.npz"
     save_program(program, artifact)
     batch = rng.normal(size=(12, 3, 32, 32))
     return ServedModel(
         engine=engine,
         program=program,
-        program_unoptimized=engine.compile(optimize=False),
+        program_unoptimized=engine.compile(level="O0"),
         artifact=artifact,
         batch=batch,
         expected=engine.predict(batch),
