@@ -10,15 +10,42 @@ Every file under ``benchmarks/`` regenerates one table or figure of the paper
 
 The scale preset defaults to ``tiny`` and can be overridden with the
 ``REPRO_BENCH_SCALE`` environment variable (``tiny`` / ``small`` / ``full``).
+``REPRO_BENCH_FAST=1`` puts every throughput benchmark in its quick (CI
+smoke) mode; the records say so in their ``fast_mode`` fields.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.scale import get_scale
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Quick mode for the throughput benchmarks (smaller image/frame counts).
+FAST = os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
+
+
+def merge_bench_record(name: str, update: dict) -> dict:
+    """Read-modify-write ``BENCH_<name>.json`` at the repository root.
+
+    Each benchmark owns its top-level keys, whichever order the benchmarks
+    sharing a file run in.  Returns the merged record.
+    """
+    path = REPO_ROOT / f"BENCH_{name}.json"
+    record = {}
+    if path.exists():
+        try:
+            record = json.loads(path.read_text())
+        except ValueError:
+            record = {}
+    record.update(update)
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    return record
 
 
 def bench_scale():

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from conftest import run_experiment, stream_prepared
+from conftest import merge_bench_record, run_experiment, stream_prepared
 
 from repro.experiments import ablations
 
@@ -43,7 +43,6 @@ def test_ablation_memoization_measured_host():
     from test_stream_throughput import (
         IMAGE_SIZE,
         _measure,
-        _merge_bench_record,
         _temporal_frames,
     )
     from repro.core import compile_stream_plan
@@ -74,7 +73,7 @@ def test_ablation_memoization_measured_host():
             threshold=0.0,
         ),
     }
-    merged = _merge_bench_record({"ablation_memoization": record})
+    merged = merge_bench_record("stream", {"ablation_memoization": record})
     print()
     print(json.dumps(merged["ablation_memoization"], indent=2))
 

@@ -16,7 +16,7 @@ and drives the :class:`~repro.serve.cluster.router.ClusterRouter` through
   retries, and the membership transition the router logged.
 
 Results merge into ``BENCH_cluster.json`` at the repository root.
-``REPRO_CLUSTER_BENCH_FAST=1`` (the CI smoke mode) shrinks the image count.
+``REPRO_BENCH_FAST=1`` (the CI smoke mode) shrinks the image count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_scale  # noqa: F401  (scale fixture)
+from conftest import FAST, REPO_ROOT, merge_bench_record
 
 from repro.core import EngineConfig
 from repro.experiments.common import (
@@ -43,10 +43,6 @@ from repro.experiments.common import (
 from repro.experiments.common import test_loader_for as held_out_loader_for
 from repro.serve import InferenceServer, ModelRepository
 from repro.serve.cluster import ClusterRouter, MembershipPolicy, sync_to_node
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_cluster.json"
-REPO_ROOT = Path(__file__).resolve().parents[1]
-FAST = os.environ.get("REPRO_CLUSTER_BENCH_FAST", "") not in ("", "0")
 
 CLIENTS = 4
 BATCH_ROWS = 8
@@ -74,20 +70,6 @@ def _prepared(scale):
         samples = np.stack(samples[:limit])
         _PREPARED[scale.name] = (engine, samples, engine.predict(samples))
     return _PREPARED[scale.name]
-
-
-def _merge_bench_record(update):
-    """Read-modify-write ``BENCH_cluster.json`` (same contract as the other
-    bench files: each test owns its keys, whichever order they run in)."""
-    record = {}
-    if BENCH_PATH.exists():
-        try:
-            record = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            record = {}
-    record.update(update)
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    return record
 
 
 def _spawn_node(repo_root: Path):
@@ -222,7 +204,8 @@ def test_cluster_scaling_sweep(scale, tmp_path):
     # Identical predictions at every width: replication must not change answers.
     assert labels_by_width[1] == labels_by_width[2] == labels_by_width[3]
 
-    record = _merge_bench_record(
+    record = merge_bench_record(
+        "cluster",
         {
             "cluster_scaling": {
                 "clients": CLIENTS,
@@ -271,7 +254,8 @@ def test_cluster_kill_one_replica_recovery(scale, tmp_path):
         snapshot = router.snapshot()
         assert snapshot["counters"]["shard_retries"] >= 1
 
-        record = _merge_bench_record(
+        record = merge_bench_record(
+            "cluster",
             {
                 "cluster_kill_one_replica": {
                     "replicas": 3,

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_scale
+from conftest import bench_scale, merge_bench_record
 
 from repro.core import EngineConfig, Executor
 from repro.experiments.common import calibrated_engine, compress_and_finetune, pretrained_model
 from repro.experiments.common import test_loader_for as held_out_loader_for
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
 SPEEDUP_TARGET = 5.0
 
 
@@ -79,7 +77,7 @@ def test_kernel_throughput(scale):
         "reference_accuracy": round(float(reference_acc), 4),
         "plan_accuracy": round(float(plan_acc), 4),
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    merge_bench_record("kernel", record)
     print()
     print(json.dumps(record, indent=2))
 

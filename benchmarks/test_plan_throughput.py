@@ -30,24 +30,21 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_scale
+from conftest import FAST, bench_scale, merge_bench_record
 
 from repro.core import OPT_LEVELS, EngineConfig, Executor
 from repro.experiments.common import calibrated_engine, compress_and_finetune, pretrained_model
 from repro.experiments.common import test_loader_for as held_out_loader_for
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_plan.json"
 # Overridable for noisy shared CI runners.
 SHARD_TARGET = float(os.environ.get("REPRO_PLAN_SHARD_TARGET", "1.15"))
 # O4 (native) vs O3 (plan): the hard floor is parity — the native backend
 # must never lose to the schedule it compiled; the committed record's margin
 # is well above it (the ISSUE target is 2x on this preset).
 O4_TARGET = float(os.environ.get("REPRO_PLAN_O4_TARGET", "1.0"))
-FAST = os.environ.get("REPRO_PLAN_BENCH_FAST", "") not in ("", "0")
 
 
 def _interleaved_best(executors, loader, rounds):
@@ -197,7 +194,7 @@ def test_plan_throughput(scale):
         "shard_speedup": round(shard_speedup, 2) if shard_speedup else None,
         "accuracy": round(float(accuracies["O3"]), 4),
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    merge_bench_record("plan", record)
     print()
     print(json.dumps(record, indent=2))
 

@@ -26,7 +26,7 @@ least match sequential throughput while it is adding batching value —
 ``mean_batch`` and the latency distribution are recorded to show it).
 ``REPRO_SERVE_SPEEDUP_TARGET`` overrides either default.  The full sweep is
 written to ``BENCH_serve.json`` at the repository root.
-``REPRO_SERVE_BENCH_FAST=1`` (the CI smoke mode) shrinks the image count
+``REPRO_BENCH_FAST=1`` (the CI smoke mode) shrinks the image count
 and the policy sweep.
 """
 
@@ -36,11 +36,10 @@ import json
 import os
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_scale  # noqa: F401  (scale fixture)
+from conftest import FAST, bench_scale, merge_bench_record
 
 from repro.core import EngineConfig
 from repro.experiments.common import calibrated_engine, compress_and_finetune, pretrained_model
@@ -58,12 +57,10 @@ from repro.serve import (
     RetryPolicy,
 )
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 CPUS = os.cpu_count() or 1
 SPEEDUP_TARGET = float(
     os.environ.get("REPRO_SERVE_SPEEDUP_TARGET", "3.0" if CPUS >= 4 else "1.0")
 )
-FAST = os.environ.get("REPRO_SERVE_BENCH_FAST", "") not in ("", "0")
 
 CLIENTS = 8
 
@@ -93,20 +90,6 @@ def _prepared(scale):
             samples, targets = samples[:64], targets[:64]
         _PREPARED[scale.name] = (engine, np.stack(samples), np.asarray(targets))
     return _PREPARED[scale.name]
-
-
-def _merge_bench_record(update):
-    """Read-modify-write ``BENCH_serve.json``: the throughput and overload
-    benchmarks each own their keys, whichever order they run in."""
-    record = {}
-    if BENCH_PATH.exists():
-        try:
-            record = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            record = {}
-    record.update(update)
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    return record
 
 
 def _policy_sweep():
@@ -237,7 +220,7 @@ def test_serve_throughput(scale, tmp_path):
         "speedup_vs_sequential": round(speedup, 2),
         "speedup_target": SPEEDUP_TARGET,
     }
-    record = _merge_bench_record(record)
+    record = merge_bench_record("serve", record)
     print()
     print(json.dumps(record, indent=2))
 
@@ -401,7 +384,8 @@ def test_serve_overload_sweep(scale, tmp_path):
     crash_row["retries"] = snap["retries"]
     crash_row["breaker_transitions"] = snap["breaker_transitions"]
 
-    record = _merge_bench_record(
+    record = merge_bench_record(
+        "serve",
         {
             "overload": {
                 "capacity_rps": round(capacity_rps, 2),
@@ -592,7 +576,8 @@ def test_serve_autoscale_sweep(scale, tmp_path):
             rows.append(row)
         results[mode] = rows
 
-    record = _merge_bench_record(
+    record = merge_bench_record(
+        "serve",
         {
             "autoscale": {
                 "capacity_rps": round(capacity_rps, 2),

@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.kernel_plan import compile_conv_plan, compile_linear_plan
 from repro.core.layers import WeightPoolConv2d, WeightPoolLinear
 from repro.core.lut import LookupTable, build_lut
-from repro.core.pipeline import OPT_LEVELS
+from repro.core.pipeline import OPT_LEVELS, auto_backend
 from repro.core.program import Executor, NetworkProgram, compile_network
 from repro.core.weight_pool import WeightPool
 from repro.nn import DataLoader, Module
@@ -356,11 +356,9 @@ class BitSerialInferenceEngine:
             raise RuntimeError("calibrate() must be called before compiling the network")
         level = level or self.config.opt_level
         if backend is None:
-            # Defaulted backends route O4 programs to the native codegen
-            # backend; the executor degrades back to ``plan`` (surfacing a
-            # ``fallback_reason``) on hosts that cannot build it.  An explicit
-            # ``backend="plan"`` stays the pure plan path.
-            backend = "native" if level == "O4" else "plan"
+            # A defaulted backend follows the level (native at O4); an
+            # explicit ``backend="plan"`` stays the pure plan path.
+            backend = auto_backend("plan", level)
         input_shape = tuple(input_shape or self.input_shape or ())
         if len(input_shape) != 3:
             raise RuntimeError(

@@ -11,25 +11,31 @@ tuning:
 
 * :class:`Pass` / :data:`PASS_REGISTRY` — every transformation is a
   registered, typed pass with a ``stage`` (``graph`` rewrites the IR,
-  ``schedule`` compiles the bound step schedule, ``tune`` picks kernel
-  variants empirically) and the first optimization :data:`level
-  <OPT_LEVELS>` that enables it.
+  ``tune`` picks kernel variants empirically, ``schedule`` compiles the
+  bound step schedule, ``codegen`` lowers it to native code) and the first
+  optimization :data:`level <OPT_LEVELS>` that enables it.  The registered
+  level is the only thing that decides whether a pass runs.
 * :class:`PassManager` — validates level/pass selections (unknown names
   raise, listing the valid choices), runs the graph stage in registration
   order, and produces a :class:`PipelineReport` (per-pass counters, op
   counts before/after, verifier runs) that travels with the program: into
   saved artifact headers, repository metadata, and the serve ``/stats``
   payload.
+* :func:`bind_program` — the bind half of the pipeline: one call runs the
+  tune, schedule and codegen stages on an executor's bound steps and
+  records each stage's report, so an :class:`~repro.core.program.Executor`
+  only runs the result.
 * **Optimization levels** — ``O0`` is the reference lowering (matches the
   ``reference`` backend), ``O1`` adds the graph passes (BatchNorm fold,
   requantize fusion, quantize CSE, activation-clip fold), ``O2`` adds the
-  ahead-of-time fusion/arena memory plan, and ``O3`` adds compile-time
-  kernel autotuning.  Every level produces the same predictions — the graph
-  passes change only the float association of epilogues (documented ~1e-12
-  relative tolerance); kernel-variant and shard choices at the
-  schedule/tune stages are bitwise identical by construction, and the tile
-  choice carries exactly the auto-tile heuristic's long-standing caveat
-  (the float stem conv's BLAS reduction order varies with batch tile).
+  ahead-of-time fusion/arena memory plan, ``O3`` adds compile-time
+  kernel autotuning and ``O4`` native codegen.  Every level produces the
+  same predictions — the graph passes change only the float association of
+  epilogues (documented ~1e-12 relative tolerance); kernel-variant and
+  shard choices at the schedule/tune stages are bitwise identical by
+  construction, and the tile choice carries exactly the auto-tile
+  heuristic's long-standing caveat (the float stem conv's BLAS reduction
+  order varies with batch tile).
 * :func:`verify_program` — an IR verifier (SSA/def-before-use, shape and
   dtype propagation, single-consumer epilogue claims) run between passes in
   debug mode (``debug=True`` or ``REPRO_PIPELINE_DEBUG=1``) and once at
@@ -70,12 +76,11 @@ from repro.quantization.quantizer import QuantParams
 OPT_LEVELS: Tuple[str, ...] = ("O0", "O1", "O2", "O3", "O4")
 
 #: Pipeline stages, in execution order.  ``graph`` passes rewrite the IR
-#: (run by :meth:`PassManager.run`), ``schedule`` passes compile the bound
-#: step schedule, ``tune`` passes pick kernel variants empirically, and
-#: ``codegen`` passes lower the planned schedule to native code (all three
-#: non-graph stages run when the :class:`~repro.core.program.Executor` binds
-#: the program).
-PASS_STAGES: Tuple[str, ...] = ("graph", "schedule", "tune", "codegen")
+#: (run by :meth:`PassManager.run`); the bind stages run in
+#: :func:`bind_program`: ``tune`` passes pick kernel variants empirically,
+#: ``schedule`` passes compile the tuned step schedule, and ``codegen``
+#: passes lower the planned schedule to native code.
+PASS_STAGES: Tuple[str, ...] = ("graph", "tune", "schedule", "codegen")
 
 
 def _level_index(level: str) -> int:
@@ -99,19 +104,22 @@ def level_enables(level: str, threshold: str) -> bool:
 class Pass:
     """One registered compiler pass.
 
-    ``fn(program) -> Dict[str, int]`` applies a *graph*-stage pass and
-    returns its report counters; schedule/tune passes are registered for
-    reporting and level-gating but execute inside the executor bind (their
-    ``fn`` is ``None``).  ``counters`` names the report keys the pass emits
-    (documented per pass in ``docs/ARCHITECTURE.md``).
+    A *graph*-stage ``fn(program) -> Dict[str, int]`` rewrites the IR and
+    returns its report counters.  A bind-stage ``fn(binding)`` works on a
+    :class:`Binding` and returns its report entry (``counters`` and
+    optional ``decisions``) or ``None`` when it records nothing; it runs
+    only for the executor ``backends`` it names.  ``counters`` names the
+    report keys the pass emits (documented per pass in
+    ``docs/ARCHITECTURE.md``).
     """
 
     name: str
     stage: str
     level: str
-    fn: Optional[Callable[[Any], Dict[str, int]]] = None
+    fn: Callable[[Any], Optional[Dict[str, Any]]]
     rewrites: str = ""
     counters: Tuple[str, ...] = ()
+    backends: Tuple[str, ...] = ()
 
 
 #: Registered passes by name, in registration order (dicts preserve it);
@@ -369,22 +377,6 @@ register_pass(Pass(
     rewrites="relu/relu6 whose every consumer is a quantize become the quantize's clip bounds",
     counters=("activations_folded",),
 ))
-register_pass(Pass(
-    name="memory_plan", stage="schedule", level="O2",
-    rewrites="fuses elementwise glue runs and places every intermediate at a fixed offset of a preallocated arena",
-    counters=("arena_bytes", "peak_live_bytes", "steps", "steps_fused", "fused_chains", "tile"),
-))
-register_pass(Pass(
-    name="autotune", stage="tune", level="O3",
-    rewrites="micro-benchmarks kernel specializations (tap gather, address encoder) and tile/shard choices, picks winners per layer",
-    counters=("layers_tuned", "trials", "tile", "n_shards"),
-))
-register_pass(Pass(
-    name="codegen", stage="codegen", level="O4",
-    rewrites="lowers the planned schedule's native-eligible steps to C99, compiles them into a cached shared library, and executes them via ctypes",
-    counters=("segments", "native_steps", "steps", "cache_hit", "source_bytes"),
-))
-
 
 # ---------------------------------------------------------------------------
 # IR verifier
@@ -607,19 +599,15 @@ class PipelineReport:
     ops_before: int = 0
     ops_after: int = 0
     debug: bool = False
-    # Effective-level surfacing (no silent downgrades): when a level cannot
-    # fully engage on this host — O4 without a C compiler — ``fallback_reason``
-    # names why and ``effective_level`` the level that actually ran.  The
-    # executor updates the attached dict in place when it binds (a host
-    # *with* a compiler re-binding a fallen-back artifact restores O4).
-    fallback_reason: Optional[str] = None
-    effective_level: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
+        # ``effective_level``/``fallback_reason`` surface a level that cannot
+        # fully engage on this host (O4 without a C compiler); only
+        # :func:`record_fallback` changes them, on the attached dict.
         return {
             "level": self.level,
-            "effective_level": self.effective_level or self.level,
-            "fallback_reason": self.fallback_reason,
+            "effective_level": self.level,
+            "fallback_reason": None,
             "passes": [p.to_dict() for p in self.passes],
             "verifier_runs": int(self.verifier_runs),
             "verifier_counters": dict(self.verifier_counters),
@@ -630,9 +618,9 @@ class PipelineReport:
 
 
 def record_stage_report(program, report: Dict[str, Any]) -> None:
-    """Merge a schedule/tune-stage pass report into the program's pipeline
-    report (replacing a previous report of the same pass, so repeated
-    executor binds never duplicate entries)."""
+    """Merge a bind-stage pass report into the program's pipeline report
+    (replacing a previous report of the same pass, so repeated executor
+    binds never duplicate entries)."""
     pipeline = program.pipeline_report
     if pipeline is None:
         return
@@ -642,6 +630,21 @@ def record_stage_report(program, report: Dict[str, Any]) -> None:
             passes[i] = report
             return
     passes.append(report)
+
+
+def record_fallback(program, reason: Optional[str]) -> None:
+    """Set (or, with ``reason=None``, clear) an O4 program's fallback.
+
+    The one writer of the report's ``fallback_reason``/``effective_level``
+    keys: the compile-time compiler probe sets them, and the bind-time
+    codegen stage sets them on failure or clears them on success (a build
+    cache can satisfy O4 without a live compiler).  Other levels have
+    nothing to fall back from and are left alone.
+    """
+    report = program.pipeline_report
+    if isinstance(report, dict) and report.get("level") == "O4":
+        report["fallback_reason"] = reason
+        report["effective_level"] = "O3" if reason else "O4"
 
 
 def persistable_autotune(decisions: Dict[str, Any]) -> Dict[str, Any]:
@@ -665,7 +668,7 @@ def persistable_autotune(decisions: Dict[str, Any]) -> Dict[str, Any]:
 def recorded_autotune(program) -> Optional[Dict[str, Any]]:
     """The decisions of the program's recorded ``autotune`` pass, if any.
 
-    Stored by the executor in the pipeline report (and therefore in saved
+    Stored by the bind in the pipeline report (and therefore in saved
     artifact headers), so a later bind replays them instead of re-tuning.
     """
     pipeline = program.pipeline_report
@@ -789,30 +792,12 @@ class PassManager:
         the canonical op stream so MCU cost attribution stays per-layer);
         the verifier runs on both.  The report — and the level — are
         attached to the program (``program.opt_level``,
-        ``program.pipeline_report``); the executor appends its
-        schedule/tune-stage reports to the same record when it binds.
+        ``program.pipeline_report``); :func:`bind_program` appends the bind
+        stages' reports to the same record.
         """
         report = PipelineReport(
             level=self.level, ops_before=len(program.ops), debug=self.debug
         )
-        if self.level == "O4":
-            # Compiler probe at compile time: O4 needs a host C compiler to
-            # build the native backend.  Record the fallback here (and warn
-            # once) so ``compile_network(level="O4")`` reports the effective
-            # level immediately — the executor still retries at bind time,
-            # where a populated build cache can satisfy O4 without one.
-            from repro.core.codegen.build import find_compiler
-
-            if find_compiler() is None:
-                report.fallback_reason = "no_compiler"
-                report.effective_level = "O3"
-                warnings.warn(
-                    "O4 requested but no C compiler found; compiling at the "
-                    "effective level O3 (plan backend). Install gcc/cc to "
-                    "enable the native backend.",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         graph_passes = self.enabled("graph") if program.bound else []
         for pass_ in graph_passes:
             ops_before = len(program.ops)
@@ -837,6 +822,23 @@ class PassManager:
         program.optimized = bool(graph_passes)
         program.opt_level = self.level
         program.pipeline_report = report.to_dict()
+        if self.enabled("codegen"):
+            # Compiler probe at compile time: codegen needs a host C compiler
+            # to build the native backend.  Record the fallback here (and
+            # warn once) so the compiled program reports its effective level
+            # immediately — the bind still retries the codegen stage, where a
+            # populated build cache can satisfy O4 without a compiler.
+            from repro.core.codegen.build import find_compiler
+
+            if find_compiler() is None:
+                record_fallback(program, "no_compiler")
+                warnings.warn(
+                    "O4 requested but no C compiler found; compiling at the "
+                    "effective level O3 (plan backend). Install gcc/cc to "
+                    "enable the native backend.",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
         return report
 
 
@@ -860,6 +862,13 @@ def _time_call(fn, reps: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def default_shard_count() -> int:
+    """Shard count a bind picks when ``n_shards`` is unset: one worker per
+    core up to a modest cap, serial on single-core machines."""
+    cpus = os.cpu_count() or 1
+    return 1 if cpus < 2 else min(cpus, 8)
 
 
 def _step_decision_keys(tuned_steps) -> List[str]:
@@ -901,8 +910,7 @@ def _reuse_recorded_decisions(
         conv_plan.tap_gather = pick["tap_gather"]
         conv_plan.encoder = pick["encoder"]
         conv_plan._autotuned = True
-    cpus = os.cpu_count() or 1
-    default_shards = 1 if cpus < 2 else min(cpus, 8)
+    default_shards = default_shard_count()
     if tune_shards:
         shards = {"chosen": int(default_shards), "basis": "per-core"}
     else:
@@ -1053,13 +1061,12 @@ def autotune_schedule(
         decisions["numerics"] = "tile_reorder"
 
     # -- shard decision: thread-scaling of the most expensive step -----------
-    cpus = os.cpu_count() or 1
-    default_shards = 1 if cpus < 2 else min(cpus, 8)
+    default_shards = default_shard_count()
     if not tune_shards:
         # The caller fixed the shard count; record what actually runs.
         chosen = fixed_shards if fixed_shards is not None else default_shards
         shards = {"chosen": int(chosen), "basis": "fixed"}
-    elif cpus < 2 or not step_costs:
+    elif default_shards < 2 or not step_costs:
         shards = {"chosen": 1, "basis": "single-core"}
     else:
         from concurrent.futures import ThreadPoolExecutor
@@ -1095,3 +1102,192 @@ def autotune_schedule(
     decisions["n_shards"] = shards
     decisions["layers_tuned"] = len(decisions["layers"])
     return decisions
+
+
+# ---------------------------------------------------------------------------
+# Bind stages: tune → schedule → codegen
+# ---------------------------------------------------------------------------
+#: Executor backends that run the ahead-of-time planned path.
+_PLANNED_BACKENDS: Tuple[str, ...] = ("plan", "native")
+
+
+@dataclass
+class Binding:
+    """One executor's bind: what the bind stages read and what they produce.
+
+    ``tile`` enters as the requested (or backend-sized) micro-batch tile and
+    leaves as the tile the planned path runs; ``n_shards`` leaves resolved
+    (at least 1).  ``backend`` drops to ``plan`` when the native bind falls
+    back.
+    """
+
+    program: Any
+    steps: List[Any]
+    backend: str
+    tile: Optional[int]
+    tune_tile: bool
+    n_shards: Optional[int]
+    active_bits: Optional[int]
+    autotune: Optional[Dict[str, Any]] = None
+    exec_plan: Any = None
+    native: Any = None
+
+
+def auto_backend(backend: str, level: Optional[str]) -> str:
+    """Upgrade a ``plan`` backend to ``native`` where ``level`` enables codegen.
+
+    Consumers that pick a backend on the caller's behalf (the engine's
+    executor cache, the serve worker pools and replica nodes) route O4
+    programs to the native backend; the bind degrades back to ``plan`` —
+    with a surfaced ``fallback_reason`` — when the host cannot build it.
+    Callers that want the pure plan oracle pass ``backend="plan"`` to
+    :class:`~repro.core.program.Executor` directly, which never upgrades.
+    """
+    codegen = PASS_REGISTRY["codegen"]
+    if backend == "plan" and level is not None and level_enables(level, codegen.level):
+        return "native"
+    return backend
+
+
+def bind_program(
+    program,
+    steps,
+    backend: str,
+    tile: Optional[int],
+    tune_tile: bool,
+    n_shards: Optional[int],
+    active_bits: Optional[int],
+) -> Binding:
+    """Run the bind stages the program's level enables on bound ``steps``.
+
+    Each registered tune/schedule/codegen pass runs, in stage order, when
+    the program's requested level enables it and the executor ``backend``
+    is one the pass names; its report entry lands in the program's
+    pipeline report.  A ``native`` backend whose codegen stage did not
+    bind falls back to ``plan`` with a warning, never silently.
+    """
+    binding = Binding(program, steps, backend, tile, tune_tile, n_shards, active_bits)
+    # The requested level, not the effective one: an O4 program whose
+    # compile-time probe fell back still retries codegen here.
+    manager = PassManager(level=program.opt_level or program.effective_opt_level)
+    for stage in PASS_STAGES[1:]:
+        for pass_ in manager.enabled(stage):
+            if binding.backend not in pass_.backends:
+                continue
+            report = pass_.fn(binding)
+            if report is not None:
+                record_stage_report(
+                    program, {"name": pass_.name, "stage": pass_.stage, **report}
+                )
+    if binding.backend == "native" and binding.native is None:
+        _native_fallback(binding, f"not_enabled_at_{manager.level}")
+    if binding.n_shards is None:
+        binding.n_shards = default_shard_count() if binding.exec_plan is not None else 1
+    binding.n_shards = max(1, binding.n_shards)
+    return binding
+
+
+def _native_fallback(binding: Binding, reason: str) -> None:
+    """Revert a native bind to the plan backend and surface ``reason``."""
+    binding.backend = "plan"
+    record_fallback(binding.program, reason)
+    warnings.warn(
+        f"native (O4) backend unavailable ({reason}); falling back to "
+        "the plan backend",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+
+
+def _autotune_stage(binding: Binding) -> Dict[str, Any]:
+    # A previous bind's recorded winners (this session or a loaded
+    # artifact's header) replay deterministically with no timing runs; only
+    # a first-ever bind micro-benchmarks.
+    binding.autotune = decisions = autotune_schedule(
+        binding.program,
+        binding.steps,
+        default_tile=binding.tile or 64,
+        active_bits=binding.active_bits,
+        tune_tile=binding.tune_tile,
+        tune_shards=binding.n_shards is None,
+        fixed_shards=binding.n_shards,
+        recorded=recorded_autotune(binding.program),
+    )
+    if binding.tune_tile:
+        binding.tile = int(decisions["tile"]["chosen"])
+    if binding.n_shards is None:
+        binding.n_shards = int(decisions["n_shards"]["chosen"])
+    return {
+        "counters": {
+            "layers_tuned": decisions["layers_tuned"],
+            "trials": decisions["trials"],
+            "tile": decisions["tile"]["chosen"],
+            "n_shards": decisions["n_shards"]["chosen"],
+        },
+        "decisions": persistable_autotune(decisions),
+    }
+
+
+def _memory_plan_stage(binding: Binding) -> Dict[str, Any]:
+    from repro.core import memory_plan
+
+    binding.exec_plan = memory_plan.compile_execution_plan(
+        binding.program,
+        binding.steps,
+        tile=binding.tile or 64,
+        active_bits=binding.active_bits,
+    )
+    binding.tile = binding.exec_plan.tile
+    return {"counters": dict(binding.exec_plan.counters)}
+
+
+def _codegen_stage(binding: Binding) -> Optional[Dict[str, Any]]:
+    """Lower the planned schedule's eligible steps to a native library.
+
+    Every *expected* obstacle — no schedule step is native-eligible, or the
+    host has no C compiler and the build cache is cold — falls back to the
+    plan backend.  A compiler *rejecting* the emitted source is a codegen
+    bug and propagates as :class:`~repro.core.codegen.NativeBuildError`.
+    """
+    from repro.core import codegen
+
+    try:
+        native = codegen.bind_native(
+            binding.program,
+            binding.steps,
+            binding.exec_plan,
+            active_bits=binding.active_bits,
+        )
+    except codegen.NoCompilerError:
+        _native_fallback(binding, "no_compiler")
+        return None
+    except codegen.CodegenUnsupported:
+        _native_fallback(binding, "no_native_steps")
+        return None
+    binding.native = native
+    build = dict(native.build_meta())
+    build["source"] = native.emitted.source
+    binding.program.native_build = build
+    record_fallback(binding.program, None)
+    return {"counters": dict(native.counters())}
+
+
+# -- registration (order = execution order within each stage) ----------------
+register_pass(Pass(
+    name="autotune", stage="tune", level="O3", fn=_autotune_stage,
+    rewrites="micro-benchmarks kernel specializations (tap gather, address encoder) and tile/shard choices, picks winners per layer",
+    counters=("layers_tuned", "trials", "tile", "n_shards"),
+    backends=_PLANNED_BACKENDS,
+))
+register_pass(Pass(
+    name="memory_plan", stage="schedule", level="O2", fn=_memory_plan_stage,
+    rewrites="fuses elementwise glue runs and places every intermediate at a fixed offset of a preallocated arena",
+    counters=("arena_bytes", "peak_live_bytes", "steps", "steps_fused", "fused_chains", "tile"),
+    backends=_PLANNED_BACKENDS,
+))
+register_pass(Pass(
+    name="codegen", stage="codegen", level="O4", fn=_codegen_stage,
+    rewrites="lowers the planned schedule's native-eligible steps to C99, compiles them into a cached shared library, and executes them via ctypes",
+    counters=("segments", "native_steps", "steps", "cache_hit", "source_bytes"),
+    backends=("native",),
+))

@@ -19,11 +19,13 @@ optimizes it with graph-level passes, and runs it through a batched
 ``flatten``, ``add``, ``conv``, ``linear``  float glue and uncompressed layers
 
 Optimization passes live in :mod:`repro.core.pipeline` as *registered
-passes* run by a :class:`~repro.core.pipeline.PassManager` at an ordered
-optimization level (``O0`` reference lowering … ``O4`` native codegen);
-:func:`compile_network` drives the graph stage and the :class:`Executor` the
-schedule/tune/codegen stages.  The pipeline's IR verifier runs between
-passes in debug mode and once at every compile exit.
+passes* run at an ordered optimization level (``O0`` reference lowering …
+``O4`` native codegen): :func:`compile_network` runs the graph stage through
+a :class:`~repro.core.pipeline.PassManager`, and an :class:`Executor` binds
+its backend's steps, hands them to :func:`~repro.core.pipeline.bind_program`
+for the tune/schedule/codegen stages, and only runs the result.  The
+pipeline's IR verifier runs between passes in debug mode and once at every
+compile exit.
 
 Backends (``Executor(program, backend=...)``):
 
@@ -46,10 +48,8 @@ requantization flips at rounding boundaries.
 from __future__ import annotations
 
 import copy
-import os
 import queue
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -64,11 +64,7 @@ from repro.core.pipeline import (
     PassManager,
     _consumer_map,
     _require_bound,
-    autotune_schedule,
-    level_enables,
-    persistable_autotune,
-    record_stage_report,
-    recorded_autotune,
+    bind_program,
 )
 from repro.core.tracing import LayerTrace
 from repro.nn import Module
@@ -171,17 +167,12 @@ class NetworkProgram:
         (e.g. ``O4`` requested but no C compiler on this host) the effective
         level is the report's downgraded one — callers never see a silent
         downgrade."""
-        if self.opt_level is not None:
-            report = self.pipeline_report
-            if (
-                isinstance(report, dict)
-                and report.get("fallback_reason")
-                and report.get("level") == self.opt_level
-                and report.get("effective_level")
-            ):
-                return str(report["effective_level"])
-            return self.opt_level
-        return "O2" if self.optimized else "O0"
+        if self.opt_level is None:
+            return "O2" if self.optimized else "O0"
+        report = self.pipeline_report
+        if isinstance(report, dict) and report.get("level") == self.opt_level:
+            return str(report.get("effective_level") or self.opt_level)
+        return self.opt_level
 
     def kinds(self) -> List[str]:
         return [op.kind for op in self.ops]
@@ -869,28 +860,9 @@ def register_backend(name: str, bind: Callable) -> None:
 register_backend("plan", _bind_plan)
 register_backend("reference", _bind_reference)
 # The native (O4) backend shares the plan backend's schedule bind; the
-# executor additionally emits/compiles the planned schedule's eligible steps
-# to a shared library after planning (and falls back to plan when it cannot).
+# pipeline's codegen stage additionally compiles the planned schedule's
+# eligible steps to a shared library (and falls back to plan when it cannot).
 register_backend("native", _bind_plan)
-
-
-def auto_backend(backend: str, program: Optional[NetworkProgram]) -> str:
-    """Upgrade a defaulted ``plan`` backend to ``native`` for O4 programs.
-
-    Consumers that pick a backend on the caller's behalf (the engine's
-    executor cache, the serve worker pools) route O4-compiled programs to the
-    native backend; :class:`Executor` degrades back to ``plan`` gracefully —
-    with a surfaced ``fallback_reason`` — when the host cannot build it.
-    Tests and callers that want the pure plan oracle pass ``backend="plan"``
-    to :class:`Executor` directly, which never upgrades.
-    """
-    if (
-        backend == "plan"
-        and program is not None
-        and getattr(program, "opt_level", None) == "O4"
-    ):
-        return "native"
-    return backend
 
 
 def _chunk_bounds(n: int, k: int, tile: int) -> List[Tuple[int, int]]:
@@ -912,13 +884,6 @@ def _chunk_bounds(n: int, k: int, tile: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _default_shard_count() -> int:
-    """Shard count the executor picks when ``n_shards`` is unset: one worker
-    per core up to a modest cap, serial on single-core machines."""
-    cpus = os.cpu_count() or 1
-    return 1 if cpus < 2 else min(cpus, 8)
-
-
 class Executor:
     """Runs a bound :class:`NetworkProgram` batch-wise through a backend.
 
@@ -928,19 +893,20 @@ class Executor:
     steps, every intermediate placed at a fixed offset of a preallocated
     arena, and large batches split across a pool of per-shard arenas on
     worker threads (NumPy releases the GIL in the hot kernels; single-core
-    machines stay serial).  ``run`` is thread-safe on this path — concurrent
-    callers share the shard pool.
+    machines stay serial).  Concurrent callers share the shard pool.
 
     Everything else — the ``reference`` oracle, the ``cost`` model and
     ``O0``/``O1`` plan programs — runs through one interpreter walk over the
-    bound steps, allocating each intermediate fresh.
+    bound steps, allocating each intermediate fresh.  ``run`` is re-entrant
+    on both paths, so one executor serves any number of threads.
 
     Parameters
     ----------
     tile:
         Micro-batch size; ``None`` lets the backend choose (the plan backend
         sizes it so the largest layer's stage-1 working set stays
-        cache-resident), 0 disables tiling on the interpreter walk.
+        cache-resident), 0 disables tiling on the interpreter walk.  On the
+        planned path ``executor.tile`` reports the tile the plan runs.
     n_shards:
         Worker arenas for the planned path; ``None`` picks one per core
         (capped at 8, 1 on single-core machines).
@@ -965,8 +931,8 @@ class Executor:
         # inter-layer working set cache-resident.  Ops treat samples
         # independently, so tiling is bit-exact.  ``None`` lets the backend
         # choose (the plan backend sizes it from the largest layer's stage-1
-        # footprint); pass 0 to disable.
-        requested_tile = tile  # None = tunable by the O3 autotuner
+        # footprint); pass 0 to disable.  The planned path runs one fixed
+        # tile, which the bind reports back here.
         self.tile = tile
         self._steps = BACKENDS[backend](program, self, **options)
         last_read = {buf: i for i, step in enumerate(self._steps) for buf in step.inputs}
@@ -975,161 +941,43 @@ class Executor:
         for buf, i in last_read.items():
             self._dead_after[i].append(buf)
 
-        # -- ahead-of-time execution plan (arena + fused steps + shards) ----
-        # The schedule ("memory_plan") and tune ("autotune") pipeline stages
-        # run here, gated by the program's optimization level: O2 enables the
-        # arena plan, O3 additionally autotunes kernel variants and the
-        # tile/shard choices before planning.
-        level = program.effective_opt_level
-        self.exec_plan = None
-        self._native = None  # NativeExecution after a successful O4 bind
+        # -- bind stages: tune → schedule → codegen, run by the pipeline ------
+        binding = bind_program(
+            program,
+            self._steps,
+            backend,
+            tile=self.tile,
+            tune_tile=tile is None,
+            n_shards=n_shards,
+            active_bits=options.get("active_bits"),
+        )
+        # ``binding.backend`` (not the requested one): a failed native bind
+        # has downgraded it, and /stats reports what actually runs.
+        self.backend = binding.backend
+        self.tile = binding.tile
+        self.n_shards = binding.n_shards
+        self.exec_plan = binding.exec_plan
+        self.autotune = binding.autotune
+        self._native = binding.native
         self.plan_info: Optional[Dict[str, Any]] = None
-        self.autotune: Optional[Dict[str, Any]] = None
         self._runtime_q: Optional[queue.LifoQueue] = None
         self._shard_threads = None
         self._shard_lock = threading.Lock()
         self.max_shards_used = 0
-        if backend in ("plan", "native") and level_enables(level, "O2"):
-            from repro.core.memory_plan import compile_execution_plan
-
-            plan_tile = self.tile if self.tile else 64
-            if level_enables(level, "O3"):
-                # A previous bind's recorded winners (this session or a
-                # loaded artifact's header) replay deterministically with no
-                # timing runs; only a first-ever bind micro-benchmarks.
-                self.autotune = autotune_schedule(
-                    program,
-                    self._steps,
-                    default_tile=plan_tile,
-                    active_bits=options.get("active_bits"),
-                    tune_tile=requested_tile is None,
-                    tune_shards=n_shards is None,
-                    fixed_shards=n_shards,
-                    recorded=recorded_autotune(program),
-                )
-                if requested_tile is None:
-                    self.tile = plan_tile = int(self.autotune["tile"]["chosen"])
-                if n_shards is None:
-                    n_shards = int(self.autotune["n_shards"]["chosen"])
-            self.exec_plan = compile_execution_plan(
-                program,
-                self._steps,
-                tile=plan_tile,
-                active_bits=options.get("active_bits"),
-            )
-            # Record the schedule/tune stages only once they are live.
-            if self.autotune is not None:
-                record_stage_report(
-                    program,
-                    {
-                        "name": "autotune",
-                        "stage": "tune",
-                        "counters": {
-                            "layers_tuned": self.autotune["layers_tuned"],
-                            "trials": self.autotune["trials"],
-                            "tile": self.autotune["tile"]["chosen"],
-                            "n_shards": self.autotune["n_shards"]["chosen"],
-                        },
-                        "decisions": persistable_autotune(self.autotune),
-                    },
-                )
-            record_stage_report(
-                program,
-                {
-                    "name": "memory_plan",
-                    "stage": "schedule",
-                    "counters": dict(self.exec_plan.counters),
-                },
-            )
-        # -- native (O4) codegen bind ----------------------------------------
-        # The ``codegen`` pipeline stage runs here, after planning: the
-        # native backend lowers the planned schedule's eligible steps to C,
-        # compiles (or cache-loads) them, and replaces those steps with
-        # library calls.  Expected failures downgrade to the plan backend
-        # with a surfaced ``fallback_reason`` — never silently.
-        if self.backend == "native":
-            self._bind_native(options.get("active_bits"))
         if self.exec_plan is not None:
             from repro.core.memory_plan import ShardRuntime
 
-            self.n_shards = max(
-                1, n_shards if n_shards is not None else _default_shard_count()
-            )
             self._runtime_q = queue.LifoQueue()
             for _ in range(self.n_shards):
                 self._runtime_q.put(ShardRuntime(self.exec_plan))
             self.plan_info = dict(self.exec_plan.counters)
             self.plan_info["n_shards"] = self.n_shards
-            # ``self.backend`` (not the requested one): a failed native bind
-            # has already downgraded it, and /stats reports what actually runs.
             self.plan_info["backend"] = self.backend
             if self._native is not None:
                 self.plan_info["native"] = self._native.counters()
             if self.autotune is not None:
                 self.plan_info["autotune"] = self.autotune
             program.plan_counters = dict(self.plan_info)
-        else:
-            self.n_shards = max(1, n_shards or 1)
-
-    def _bind_native(self, active_bits: Optional[int]) -> None:
-        """Attempt the native (O4) codegen bind; fall back to ``plan``.
-
-        Every *expected* obstacle — the program could not be planned, no
-        schedule step is native-eligible, or the host has no C compiler and
-        the build cache is cold — reverts this executor to the plan backend
-        and records the reason in the program's pipeline report (surfaced by
-        ``effective_opt_level``, artifact headers and serve ``/stats``).  A
-        compiler *rejecting* the emitted source is a codegen bug and
-        propagates as :class:`~repro.core.codegen.NativeBuildError`.
-        """
-        from repro.core.codegen import CodegenUnsupported, NoCompilerError, bind_native
-
-        reason = None
-        if self.exec_plan is None:
-            reason = "no_execution_plan"
-        else:
-            try:
-                self._native = bind_native(
-                    self.program, self._steps, self.exec_plan, active_bits=active_bits
-                )
-            except NoCompilerError:
-                reason = "no_compiler"
-            except CodegenUnsupported:
-                reason = "no_native_steps"
-        report = self.program.pipeline_report
-        if self._native is not None:
-            build = dict(self._native.build_meta())
-            build["source"] = self._native.emitted.source
-            self.program.native_build = build
-            record_stage_report(
-                self.program,
-                {
-                    "name": "codegen",
-                    "stage": "codegen",
-                    "counters": dict(self._native.counters()),
-                },
-            )
-            if isinstance(report, dict) and report.get("level") == "O4":
-                # A successful bind clears a compile-time probe's fallback —
-                # the build cache can satisfy O4 without a live compiler.
-                report["fallback_reason"] = None
-                report["effective_level"] = "O4"
-            return
-        self.backend = "plan"
-        if isinstance(report, dict) and report.get("level") == "O4":
-            report["fallback_reason"] = reason
-            report["effective_level"] = "O3"
-        warnings.warn(
-            f"native (O4) backend unavailable ({reason}); falling back to "
-            "the plan backend (effective level O3)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    @property
-    def thread_safe(self) -> bool:
-        """True when concurrent ``run`` calls are safe (planned path only)."""
-        return self.exec_plan is not None
 
     def close(self) -> None:
         """Shut down the shard worker threads (idempotent; runs still work

@@ -11,9 +11,10 @@ system — the deployment story of ``docs/SERVING.md``:
   — coalesce single-sample requests into executor-sized batches under a
   max-batch / max-delay policy.
 * :class:`ThreadWorkerPool` / :class:`ProcessWorkerPool`
-  (:mod:`repro.serve.workers`) — shard batches across workers, each owning
-  its own executor (any registered backend); a crashed process worker fails
-  its in-flight requests instead of hanging them.
+  (:mod:`repro.serve.workers`) — shard batches across worker threads
+  sharing one executor, or processes each owning one (any registered
+  backend); a crashed process worker fails its in-flight requests instead
+  of hanging them.
 * :class:`InferenceServer` (:mod:`repro.serve.server`) — the programmatic
   API tying the above together, with per-model latency/throughput/queue
   stats (:mod:`repro.serve.stats`).

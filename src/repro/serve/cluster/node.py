@@ -11,10 +11,9 @@ exactly like a worker pool — a replica node is a worker pool you can SIGKILL
 from another machine.
 
 Concurrency model: one daemon accept thread, one handler thread per
-connection.  Executors are cached per ``(model, version)``; thread-safe
-executors (planned shard pools) are shared across connections, anything
-else is serialized behind a per-executor lock — the same degradation rule
-as :class:`~repro.serve.workers.ThreadWorkerPool`.
+connection.  Executors are cached per ``(model, version)`` and shared
+across connections (``run`` is re-entrant), as in
+:class:`~repro.serve.workers.ThreadWorkerPool`.
 
 Batch payloads are bounded by the artifact's slot geometry
 (:func:`~repro.serve.cluster.transport.frame_bound_for_artifact`) — the
@@ -47,7 +46,8 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.export import ProgramFormatError, verify_program_digest
-from repro.core.program import Executor, auto_backend
+from repro.core.pipeline import auto_backend
+from repro.core.program import Executor
 from repro.serve.cluster.transport import (
     Connection,
     ConnectionClosed,
@@ -60,20 +60,11 @@ from repro.serve.repository import ModelNotFound, ModelRepository
 
 
 class _CachedExecutor:
-    """One executor for a (model, version), shared or lock-serialized."""
+    """One executor for a (model, version), shared by every connection."""
 
     def __init__(self, executor: Executor, frame_bound: int):
         self.executor = executor
         self.frame_bound = frame_bound
-        self.lock: Optional[threading.Lock] = (
-            None if getattr(executor, "thread_safe", False) else threading.Lock()
-        )
-
-    def run(self, batch: np.ndarray) -> np.ndarray:
-        if self.lock is not None:
-            with self.lock:
-                return self.executor.run(batch)
-        return self.executor.run(batch)
 
 
 class ReplicaNode:
@@ -218,7 +209,7 @@ class ReplicaNode:
             cached = self._executors.get(key)
             if cached is not None:
                 return cached, loaded.version
-        backend = auto_backend(self.backend, loaded.program)
+        backend = auto_backend(self.backend, loaded.program.opt_level)
         executor = Executor(loaded.program, backend=backend)
         entry = _CachedExecutor(executor, frame_bound_for_artifact(loaded.path))
         with self._lock:
@@ -254,7 +245,7 @@ class ReplicaNode:
                 ), "retriable": False},
                 None,
             )
-        outputs = entry.run(batch)
+        outputs = entry.executor.run(batch)
         self.served_batches += 1
         return (
             "result",

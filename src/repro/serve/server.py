@@ -30,7 +30,8 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.program import Executor, NetworkProgram, auto_backend
+from repro.core.pipeline import auto_backend
+from repro.core.program import Executor, NetworkProgram
 from repro.core.stream_plan import StreamUnsupported
 from repro.serve.admission import (
     AdmissionController,
@@ -76,8 +77,8 @@ _DEFAULT = object()
 class _Pipeline:
     """The serving machinery of one (name, version): pool + batcher + stats.
 
-    Thread mode holds the deserialized program (each worker thread builds its
-    own executor from it); process mode holds only the artifact path — the
+    Thread mode holds the deserialized program (its worker threads share one
+    executor built from it); process mode holds only the artifact path — the
     worker processes load the program themselves, so the parent never pays
     (or duplicates) the deserialization.
     """
@@ -133,42 +134,20 @@ class _Pipeline:
                 fault_plan=server.fault_plan,
             )
         else:
-            # One shared, internally-sharded executor when the program plans
-            # ahead of time (its run() is thread-safe: worker threads check
-            # shard arenas out of the executor's pool); otherwise each worker
-            # thread builds its own executor — unplanned executors are
-            # single-threaded objects (plan caches and scratch).
-            # O4 artifacts route to the native backend (rebuilt — or
-            # cache-loaded — deterministically from the artifact's persisted
-            # source); the executor downgrades to ``plan`` with a surfaced
-            # fallback_reason when the host cannot build it.
-            backend = auto_backend(server.backend, program)
-            probe = Executor(program, backend=backend)
-            if probe.thread_safe:
-                self.pool = ThreadWorkerPool(
-                    lambda: probe,
-                    num_workers=server.workers,
-                    name=f"serve-{name}-v{version}",
-                    shared=True,
-                    fault_plan=server.fault_plan,
-                )
-            else:
-                # Per-worker executors; the probe is not wasted — the first
-                # worker to ask adopts it instead of binding a second time.
-                spare = [probe]
-
-                def factory():
-                    try:
-                        return spare.pop()
-                    except IndexError:
-                        return Executor(program, backend=backend)
-
-                self.pool = ThreadWorkerPool(
-                    factory,
-                    num_workers=server.workers,
-                    name=f"serve-{name}-v{version}",
-                    fault_plan=server.fault_plan,
-                )
+            # One executor shared by every worker thread (``run`` is
+            # re-entrant).  O4 artifacts route to the native backend
+            # (rebuilt — or cache-loaded — deterministically from the
+            # artifact's persisted source); the bind downgrades to ``plan``
+            # with a surfaced fallback_reason when the host cannot build it.
+            executor = Executor(
+                program, backend=auto_backend(server.backend, program.opt_level)
+            )
+            self.pool = ThreadWorkerPool(
+                executor,
+                num_workers=server.workers,
+                name=f"serve-{name}-v{version}",
+                fault_plan=server.fault_plan,
+            )
         # Batches reach the pool through the resilient dispatcher: bounded
         # retry on worker crashes, gated by the breaker.  With both disabled
         # the pool's submit is used directly (identical fast path).
@@ -278,13 +257,13 @@ class _Pipeline:
     def plan_info(self) -> Optional[Dict]:
         """Planner/runtime counters of this pipeline's executor(s), if any.
 
-        Thread mode reads the shared executor directly; process mode reports
+        Thread mode reads the pool's executor directly; process mode reports
         what a worker sent back in its ready handshake (``None`` until one
         has).  The same counters appear in
         :meth:`repro.core.program.NetworkProgram.metadata`, so bench records
         and the ``/stats`` endpoint agree.
         """
-        executor = getattr(self.pool, "shared_executor", None)
+        executor = getattr(self.pool, "executor", None)
         if executor is not None and getattr(executor, "plan_info", None):
             info = dict(executor.plan_info)
             info["max_shards_used"] = int(getattr(executor, "max_shards_used", 0))
@@ -1044,7 +1023,7 @@ class InferenceServer:
         if pipeline.stream_manager is not None:
             snap["streaming"] = pipeline.stream_manager.snapshot()
         # Prefer the live program's report over the stored artifact header:
-        # the executor's native (O4) bind updates it in place — recording a
+        # the bind's codegen stage updates it in place — recording a
         # ``fallback_reason``/``effective_level`` downgrade on hosts that
         # cannot build, or clearing a compile-time fallback when the build
         # cache satisfied O4 — and /stats must report what actually runs.

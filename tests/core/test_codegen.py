@@ -35,7 +35,7 @@ from repro.core import (
 )
 from repro.core.codegen import emit_native
 from repro.core.codegen.build import find_compiler
-from repro.core.pipeline import persistable_autotune
+from repro.core.pipeline import PASS_STAGES, persistable_autotune
 from repro.models import create_model
 from repro.nn import DataLoader
 from repro.nn.data.dataset import ArrayDataset
@@ -122,6 +122,12 @@ class TestBitExactness:
         assert report["fallback_reason"] is None
         passes = {p["name"]: p for p in report["passes"]}
         assert "codegen" in passes and passes["codegen"]["stage"] == "codegen"
+        # The registry's stage order is the order the stages ran in.
+        stages = [p["stage"] for p in report["passes"]]
+        assert stages == sorted(stages, key=PASS_STAGES.index)
+        assert [p["name"] for p in report["passes"] if p["stage"] != "graph"] == [
+            "autotune", "memory_plan", "codegen",
+        ]
         assert passes["codegen"]["counters"]["native_steps"] > 0
         assert executor.plan_info["backend"] == "native"
         build = program.native_build

@@ -10,6 +10,8 @@ storages may share bytes (the aliasing regression a bad planner would hit
 on overlapping lifetimes, e.g. residual shortcuts held across a block).
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -85,7 +87,6 @@ class TestBitExactness:
         planned = Executor(planned_engine.compile(level="O2"))
         assert planned.exec_plan is not None, "O2 plan programs plan by default"
         walk = Executor(planned_engine.compile(level="O1"), tile=planned.tile)
-        assert planned.thread_safe and not walk.thread_safe
         np.testing.assert_array_equal(planned.run(x), walk.run(x))
 
     def test_single_sample_and_empty_batches(self, planned_engine):
@@ -116,6 +117,34 @@ class TestBitExactness:
         walk_acc = Executor(planned_engine.compile(level="O1")).evaluate(loader)
         planned_acc = Executor(planned_engine.compile(level="O2"), n_shards=2).evaluate(loader)
         assert walk_acc == planned_acc
+
+
+class TestConcurrentRuns:
+    """One executor serves many threads — the contract the serving stack's
+    shared executors rely on — on the interpreter walk and the plan."""
+
+    @pytest.mark.parametrize(
+        "level, backend",
+        [("O0", "plan"), ("O1", "plan"), ("O0", "reference"), ("O2", "plan")],
+    )
+    def test_threads_match_serial_bitwise(self, planned_engine, level, backend):
+        executor = Executor(planned_engine.compile(level=level), backend=backend)
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 20, size=24)
+        batches = [rng.normal(size=(int(n), 3, 32, 32)) for n in sizes]
+        serial = [executor.run(batch) for batch in batches]
+        # More threads than cores, switching often: interleavings that a
+        # shared intermediate or a lost update would corrupt.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as threads:
+                futures = [threads.submit(executor.run, batch) for batch in batches]
+                concurrent = [future.result(timeout=300.0) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, expected in zip(concurrent, serial):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestArenaPlan:
@@ -178,6 +207,14 @@ class TestPlanSelection:
             assert Executor(planned_engine.compile(level=level)).exec_plan is None
         optimized = planned_engine.compile(level="O2")
         assert Executor(optimized, backend="reference").exec_plan is None
+
+    @pytest.mark.parametrize("level", ["O2", "O3"])
+    @pytest.mark.parametrize("tile", [None, 0, 8])
+    def test_tile_reports_the_planned_tile(self, planned_engine, level, tile):
+        executor = Executor(planned_engine.compile(level=level), tile=tile, n_shards=1)
+        assert executor.tile == executor.exec_plan.tile == executor.plan_info["tile"]
+        if tile:
+            assert executor.tile == tile
 
     def test_structural_program_cannot_be_planned(self, compressed_small_model):
         program = compile_network(compressed_small_model.model, (3, 32, 32))
