@@ -35,6 +35,12 @@ checks the ``O1`` walk against the ``O2`` plan, and every shard count
 against one) and match the ``reference`` backend.  Programs the planner
 cannot type (a backend without IR steps, an op kind it does not know) raise
 :class:`PlanUnsupported`.
+
+The per-op step functions (:func:`compile_step_fn`) serve two executors:
+this planned executor, which writes into arena views, and the stream plan
+(:mod:`repro.core.stream_plan`), which writes the dirty region of its
+persistent buffers.  Each glue op has one out-aware implementation here
+next to the interpreter's.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bitserial import active_bit_positions
+from repro.core.pipeline import _propagate_dtype, _quant_dtype
 from repro.nn import functional as F
 
 #: Arena slots are aligned to cache lines.
@@ -129,69 +136,52 @@ class ExecutionPlan:
 # ---------------------------------------------------------------------------
 # Buffer specs: static shape/dtype inference over the bound schedule
 # ---------------------------------------------------------------------------
-def _quant_dtype(params) -> np.dtype:
-    return np.dtype(np.uint8 if params.bitwidth <= 8 else np.uint16)
-
-
-def _plan_out_dtype(plan) -> np.dtype:
-    conv_plan = getattr(plan, "conv_plan", plan)
-    if conv_plan.requant is not None:
-        return np.dtype(conv_plan.requant[2])
-    return np.dtype(np.float64)
-
-
 def infer_buffer_specs(program, steps) -> Dict[int, BufferSpec]:
     """Per-buffer :class:`BufferSpec` for every buffer the schedule touches.
 
     The program input is typed ``float64`` — the planned executor converts
     incoming batches (data loaders already produce float64).  Dtypes then
-    propagate exactly as the interpreter's step implementations produce them.
+    propagate over ``program.ops`` by the IR verifier's rules
+    (:func:`~repro.core.pipeline._propagate_dtype`); a fused kernel step's
+    output buffer is its epilogue op's output, so it is typed like that op.
     """
+    dtypes = {program.input_id: np.dtype(np.float64)}
+    shapes = {program.input_id: tuple(program.input_shape)}
+    for op in program.ops:
+        dtypes[op.output] = _propagate_dtype(op, [dtypes.get(b) for b in op.inputs])
+        shapes[op.output] = tuple(op.out_shape)
     specs: Dict[int, BufferSpec] = {
-        program.input_id: BufferSpec(tuple(program.input_shape), np.dtype(np.float64))
+        program.input_id: BufferSpec(shapes[program.input_id], dtypes[program.input_id])
     }
     for step in steps:
-        op = step.op
-        if op is None:
+        if step.op is None:
             raise PlanUnsupported(
                 f"backend step for buffer b{step.output} carries no IR op; "
                 "only the plan backend schedule can be planned"
             )
-        out_shape = tuple(op.out_shape)
-        if step.plan is not None:
-            dtype = _plan_out_dtype(step.plan)
-        else:
-            kind = op.kind
-            in_spec = specs[step.inputs[0]] if step.inputs else None
-            if kind == "quantize":
-                dtype = _quant_dtype(op.attrs["params"])
-            elif kind in ("pad_channels", "batchnorm", "activation", "flatten"):
-                dtype = in_spec.dtype
-            elif kind == "pool":
-                # max pooling keeps the input dtype (integer when fused);
-                # avg/global-avg reduce through np.mean, always float64.
-                dtype = in_spec.dtype if op.attrs["pool"] == "max" else np.dtype(np.float64)
-            elif kind == "add":
-                dtype = np.result_type(*(specs[b].dtype for b in step.inputs))
-            elif kind in ("conv", "linear"):
-                dtype = np.result_type(in_spec.dtype, op.attrs["weight"].dtype)
-            else:
-                raise PlanUnsupported(f"cannot infer a buffer spec for op kind '{kind}'")
-        specs[step.output] = BufferSpec(out_shape, np.dtype(dtype))
+        if dtypes.get(step.output) is None:
+            raise PlanUnsupported(
+                f"cannot infer a buffer spec for op kind '{step.op.kind}'"
+            )
+        specs[step.output] = BufferSpec(shapes[step.output], dtypes[step.output])
     return specs
 
 
 # ---------------------------------------------------------------------------
 # Step compilation: out-aware executors per op kind
 # ---------------------------------------------------------------------------
-def _compile_stage_fn(op, bound_step, active_bits, stage_key):
+def compile_step_fn(op, bound_step, active_bits, stage_key):
     """Compile one op into an out-aware ``fn(args, out, ctx)``.
 
     Every implementation runs the exact ufunc sequence of the interpreter's
     `_exec_generic` (or of the kernel plan), only targeting the
     caller-provided ``out`` — outputs are bitwise identical to the
     interpreter walk.  ``out=None`` falls back to a fresh allocation (view and heap
-    placements, chain interiors that are views).
+    placements, chain interiors that are views).  ``out`` may be any
+    writable view of the output's shape: the stream plan passes the dirty
+    region of a persistent buffer.  ``ctx`` supplies ``temp(key, n, shape,
+    dtype)`` and ``plan_scratch(key)``; temporaries are sized from the
+    arguments, never from the op's compile-time shapes.
     """
     kind = op.kind
     attrs = op.attrs
@@ -216,11 +206,10 @@ def _compile_stage_fn(op, bound_step, active_bits, stage_key):
         out_dtype = _quant_dtype(params)
         clip_lo = attrs.get("clip_lo", params.qmin)
         clip_hi = attrs.get("clip_hi", params.qmax)
-        shape = tuple(op.in_shape)
 
         def fn(args, out, ctx):
             x = args[0]
-            q = ctx.temp((stage_key, "q"), x.shape[0], shape, np.float64)
+            q = ctx.temp((stage_key, "q"), x.shape[0], x.shape[1:], np.float64)
             np.divide(x, params.scale, out=q)
             np.rint(q, out=q)
             q += params.zero_point
@@ -371,7 +360,7 @@ def _compile_chain_fn(stages, ext_inputs, specs, active_bits, chain_key):
     compiled = []
     for si, (op, bound_step) in enumerate(stages):
         compiled.append(
-            (_compile_stage_fn(op, bound_step, active_bits, (chain_key, si)), op)
+            (compile_step_fn(op, bound_step, active_bits, (chain_key, si)), op)
         )
     last_index = len(compiled) - 1
 
@@ -601,7 +590,7 @@ def compile_execution_plan(program, steps, tile: int, active_bits=None) -> Execu
             step = run[0]
             op = step.op
             key = len(plan_steps)
-            fn = _compile_stage_fn(op, step, active_bits, key)
+            fn = compile_step_fn(op, step, active_bits, key)
             ext_inputs = tuple(step.inputs)
             kinds = (op.kind,)
             is_view = op.kind == "flatten"

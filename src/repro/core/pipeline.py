@@ -425,8 +425,11 @@ def _quant_dtype(params) -> np.dtype:
     return np.dtype(np.uint8 if params.bitwidth <= 8 else np.uint16)
 
 
-def _propagate_dtype(op, in_dtypes: List[np.dtype]) -> Optional[np.dtype]:
-    """The dtype ``op`` produces (mirrors the executor's step semantics)."""
+def _propagate_dtype(op, in_dtypes: List[Optional[np.dtype]]) -> Optional[np.dtype]:
+    """The dtype ``op`` produces (mirrors the executor's step semantics);
+    ``None`` when an input dtype or the op's own typing is unknown."""
+    if any(dt is None for dt in in_dtypes):
+        return None
     kind = op.kind
     if kind in ("quantize", "requantize"):
         params = op.attrs["out_params"] if kind == "requantize" else op.attrs["params"]
@@ -532,7 +535,7 @@ def verify_program(program) -> Dict[str, int]:
                 counters["dtype_checks"] += 1
         dtypes[op.output] = (
             _propagate_dtype(op, [dtypes.get(buf) for buf in op.inputs])
-            if program.bound and all(dtypes.get(buf) is not None for buf in op.inputs)
+            if program.bound
             else None
         )
         defined.add(op.output)

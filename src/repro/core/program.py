@@ -63,6 +63,7 @@ from repro.core.lut import LookupTable
 from repro.core.pipeline import (
     PassManager,
     _consumer_map,
+    _quant_dtype,
     _require_bound,
     bind_program,
 )
@@ -582,7 +583,7 @@ def _epilogue_terms(op: ProgramOp, epilogue: ProgramOp):
         out_params: QuantParams = epilogue.attrs["out_params"]
         alpha = alpha / out_params.scale
         beta = beta / out_params.scale + out_params.zero_point
-        out_dtype = np.dtype(np.uint8 if out_params.bitwidth <= 8 else np.uint16)
+        out_dtype = _quant_dtype(out_params)
         requant = (
             float(epilogue.attrs["clip_lo"]),
             float(epilogue.attrs["clip_hi"]),
@@ -648,7 +649,7 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram,
     attrs = op.attrs
     if kind == "quantize":
         params: QuantParams = attrs["params"]
-        out_dtype = np.dtype(np.uint8 if params.bitwidth <= 8 else np.uint16)
+        out_dtype = _quant_dtype(params)
         # Clip bounds absorb folded relu/relu6 ops (monotone rounding).
         clip_lo = attrs.get("clip_lo", params.qmin)
         clip_hi = attrs.get("clip_hi", params.qmax)
@@ -685,7 +686,7 @@ def _exec_generic(op: ProgramOp, program: NetworkProgram,
                 q = np.round(out / out_params.scale)
                 q += out_params.zero_point
                 np.clip(q, clip[0], clip[1], out=q)
-                out = q.astype(np.uint8 if out_params.bitwidth <= 8 else np.uint16, copy=False)
+                out = q.astype(_quant_dtype(out_params), copy=False)
             return out
 
         return fn

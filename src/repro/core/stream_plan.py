@@ -11,9 +11,11 @@ schedule.
 
 Compile-time propagation metadata
 ---------------------------------
-:func:`compile_stream_plan` walks the plan backend's bound schedule (the
-same :class:`~repro.core.program.Step` list the arena planner consumes) and
-derives one :class:`StreamRule` per step:
+One function, :func:`stream_rule`, maps each IR op to its
+:class:`StreamRule`; :func:`stream_support` writes the table into artifact
+metadata and :func:`compile_stream_plan` binds it to every step of the plan
+backend's bound schedule (the same :class:`~repro.core.program.Step` list
+the arena planner consumes):
 
 ==================  =========================================================
 rule                steps
@@ -34,21 +36,21 @@ rule                steps
 
 Bit-exactness strategy (threshold 0 ⇒ identical results):
 
-* Elementwise crops run the *same ufunc sequence per element* as the full
-  step, so crops are bitwise equal by construction.
-* Bit-serial convolutions accumulate integer partials — order-independent —
-  so a crop through a **padding-0 clone** of the step's compiled
-  :class:`~repro.core.kernel_plan.ConvKernelPlan` (the halo is materialized
-  explicitly, borders pre-padded with the layer zero point) reproduces the
-  full plan's outputs exactly, including the fused ``α·acc + β`` epilogue.
-* Float convs reduce over the channel/kernel axis only (im2col + GEMM), so
-  each output pixel is an independent dot product and a halo crop is
-  bitwise-equal on this stack; the compile-time verification below is the
-  backstop on hosts where the BLAS reduction order does depend on the
-  spatial extent.  Float *linears* sit behind the cutoff and always run in
-  full.
-* Pool crops are aligned to whole pooling windows so the windowed
-  reshape-reduce sees exactly the windows the full step sees.
+* Every step runs the planner's step function
+  (:func:`~repro.core.memory_plan.compile_step_fn`), the implementation
+  :meth:`Executor.run` uses: with ``out=None`` for the full refresh and the
+  non-spatial head, and into the dirty region's view of the persistent
+  buffer for crops.  Elementwise crops therefore run the same ufunc
+  sequence per element as the full step.
+* A dilate crop reads its input window with the halo materialized
+  explicitly (zero point for bit-serial convs, 0 for float convs) and runs
+  a borderless copy of the step: a **padding-0 clone** of the compiled
+  :class:`~repro.core.kernel_plan.ConvKernelPlan`, whose integer
+  accumulation is order-independent (fused ``α·acc + β`` epilogue
+  included), or a padding-0 attrs copy of a float conv, whose im2col +
+  GEMM reduces over channels and taps only.  Pools have no padding and
+  their windows tile the input, so a crop sees exactly the full step's
+  windows.
 
 On top of the construction, :func:`compile_stream_plan` *verifies* the
 incremental path at compile time — a perturbed frame is executed both ways
@@ -70,12 +72,15 @@ refresh (which also keeps their persistent state warm).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.memory_plan import PlanUnsupported, compile_step_fn
 from repro.core.pipeline import record_stage_report
 from repro.core.program import Executor, NetworkProgram, Step
 
@@ -85,6 +90,7 @@ __all__ = [
     "StreamPlan",
     "StreamSession",
     "compile_stream_plan",
+    "stream_rule",
     "stream_support",
 ]
 
@@ -107,99 +113,23 @@ _PASS_KINDS = frozenset(
 # cutoff step on recomputes in full each frame.
 _CUTOFF_KINDS = frozenset({"flatten", "linear", "bitserial_linear"})
 
-
-# ---------------------------------------------------------------------------
-# Static support metadata (artifact headers / serve capability gating)
-# ---------------------------------------------------------------------------
-
-def stream_support(program: NetworkProgram) -> Dict[str, Any]:
-    """Static streaming-capability summary of a program (no compile needed).
-
-    Stored in artifact headers by :func:`repro.core.export.save_program`
-    (schema ≥ 3) and surfaced by ``read_program_metadata``, so a server can
-    reject streaming requests against incapable — or pre-schema — artifacts
-    with a clear ``stream_unsupported`` reason instead of a KeyError.
-    """
-    rules: List[Dict[str, Any]] = []
-    supported = len(program.input_shape) == 3
-    cutoff_index: Optional[int] = None
-    for i, op in enumerate(program.ops):
-        if op.kind in ("bitserial_conv", "conv"):
-            rule = {
-                "op": op.name or op.kind,
-                "kind": op.kind,
-                "rule": "dilate",
-                "kernel": _op_kernel(op),
-                "stride": int(op.attrs.get("stride", 1)),
-                "padding": int(op.attrs.get("padding", 0)),
-            }
-        elif op.kind == "pool" and op.attrs.get("pool") != "global_avg":
-            k = int(op.attrs.get("kernel", 1))
-            rule = {
-                "op": op.name or op.kind,
-                "kind": op.kind,
-                "rule": "dilate",
-                "kernel": [k, k],
-                "stride": k,
-                "padding": 0,
-            }
-        elif op.kind in _CUTOFF_KINDS or op.kind == "pool":
-            rule = {"op": op.name or op.kind, "kind": op.kind, "rule": "cutoff"}
-            if cutoff_index is None:
-                cutoff_index = i
-        elif op.kind in _PASS_KINDS:
-            rule = {"op": op.name or op.kind, "kind": op.kind, "rule": "pass"}
-        else:
-            rule = {"op": op.name or op.kind, "kind": op.kind, "rule": "unknown"}
-            supported = False
-        rules.append(rule)
-    return {
-        "supported": bool(supported),
-        "rules": rules,
-        "cutoff_index": cutoff_index,
-    }
-
-
-def _op_kernel(op) -> List[int]:
-    """(KH, KW) of a conv-like op, from attrs or the index tensor."""
-    if "kernel" in op.attrs:
-        k = op.attrs["kernel"]
-        return [int(k), int(k)] if np.isscalar(k) else [int(k[0]), int(k[1])]
-    weight = op.attrs.get("weight")
-    if weight is not None:
-        return [int(weight.shape[-2]), int(weight.shape[-1])]
-    indices = op.attrs.get("indices")
-    if indices is not None and indices.ndim >= 4:
-        return [int(indices.shape[-2]), int(indices.shape[-1])]
-    return [1, 1]
-
-
-# ---------------------------------------------------------------------------
-# Propagation rules over the bound schedule
-# ---------------------------------------------------------------------------
-
 #: Pixel-space dirty region of one buffer: ``(y0, y1, x0, x1)`` half-open.
 Region = Tuple[int, int, int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamRule:
-    """How one bound schedule step propagates and executes a dirty region.
+    """How one op propagates a dirty region (``pass``/``dilate``/``cutoff``).
 
-    ``kind`` is the propagation rule (``pass``/``dilate``/``cutoff``);
-    ``mode`` is how the step executes when its input is dirty: ``crop``
-    re-executes only the dilated region in place, ``full`` reruns the whole
-    step (float convs, and any step the compile-time bitwise verification
-    demoted).
+    ``dilate`` rules carry the op's receptive field
+    (``kernel``/``stride``/``padding``); ``pass`` and ``cutoff`` rules use
+    the defaults.
     """
 
     kind: str  # "pass" | "dilate" | "cutoff"
-    mode: str  # "crop" | "full"
     kernel: Tuple[int, int] = (1, 1)
     stride: int = 1
     padding: int = 0
-    align: int = 1  # output-region alignment (pool windows)
-    demoted: bool = False  # verification demoted a crop step to full
 
     def out_region(self, region: Region, out_hw: Tuple[int, int]) -> Region:
         """Dilate an input dirty region to the affected output region."""
@@ -219,17 +149,13 @@ class StreamRule:
         oh, ow = out_hw
         y0, y1 = max(0, min(y0, oh)), max(0, min(y1, oh))
         x0, x1 = max(0, min(x0, ow)), max(0, min(x1, ow))
-        if self.align > 1:
-            a = self.align
-            y0, x0 = (y0 // a) * a, (x0 // a) * a
-            y1, x1 = min(oh, -(-y1 // a) * a), min(ow, -(-x1 // a) * a)
         return (y0, y1, x0, x1)
 
-    def in_window(self, out_region: Region, in_hw: Tuple[int, int]) -> Region:
+    def in_window(self, out_region: Region) -> Region:
         """The (unclamped) input window the output region reads — its halo."""
-        y0, y1, x0, x1 = out_region
         if self.kind == "pass":
             return out_region
+        y0, y1, x0, x1 = out_region
         kh, kw = self.kernel
         s, p = self.stride, self.padding
         return (
@@ -240,50 +166,79 @@ class StreamRule:
         )
 
 
-def _classify_step(step: Step) -> StreamRule:
-    op = step.op
-    if op is None:
-        # Backend-synthesized step with no IR op: cannot reason about it.
-        raise StreamUnsupported("schedule step carries no IR op")
+def stream_rule(op) -> Optional[StreamRule]:
+    """The propagation rule of one IR op; ``None`` if it has none.
+
+    The one rule table: :func:`stream_support` writes it into artifact
+    metadata and :func:`compile_stream_plan` binds it to the schedule (a
+    fused kernel step follows its bit-serial op's rule).
+    """
     kind = op.kind
-    if kind == "bitserial_conv":
-        kh, kw = _op_kernel(op)
+    if kind in ("bitserial_conv", "conv"):
+        k = int(op.attrs["kernel_size"])
         return StreamRule(
-            kind="dilate", mode="crop", kernel=(kh, kw),
-            stride=int(op.attrs.get("stride", 1)),
-            padding=int(op.attrs.get("padding", 0)),
+            "dilate", (k, k), int(op.attrs["stride"]), int(op.attrs["padding"])
         )
-    if kind == "conv":
-        kh, kw = _op_kernel(op)
-        # Float convs reduce over the channel/kernel axis only (im2col +
-        # GEMM): each output pixel is an independent dot product, so a halo
-        # crop reproduces the full result bit for bit on this stack.  The
-        # compile-time verification is the backstop — a host/BLAS whose
-        # reduction order does depend on the spatial extent demotes the
-        # step to full-frame execution.
-        return StreamRule(
-            kind="dilate", mode="crop", kernel=(kh, kw),
-            stride=int(op.attrs.get("stride", 1)),
-            padding=int(op.attrs.get("padding", 0)),
-        )
-    if kind == "pool":
-        if op.attrs.get("pool") == "global_avg":
-            return StreamRule(kind="cutoff", mode="full")
-        k = int(op.attrs["kernel"])
-        return StreamRule(
-            kind="dilate", mode="crop", kernel=(k, k), stride=k, padding=0,
-        )
-    if kind in _CUTOFF_KINDS:
-        return StreamRule(kind="cutoff", mode="full")
+    if kind == "pool" and op.attrs["pool"] != "global_avg":
+        k = int(op.attrs["kernel"])  # whole, non-overlapping windows
+        return StreamRule("dilate", (k, k), stride=k)
+    if kind in _CUTOFF_KINDS or kind == "pool":
+        return StreamRule("cutoff")
     if kind in _PASS_KINDS:
-        spatial = len(op.out_shape) == 3
-        return StreamRule(kind="pass", mode="crop" if spatial else "full")
-    raise StreamUnsupported(f"op kind '{kind}' has no streaming rule")
+        return StreamRule("pass")
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Crop executors (bitwise-equal re-execution of one step's dirty region)
+# Static support metadata (artifact headers / serve capability gating)
 # ---------------------------------------------------------------------------
+
+def stream_support(program: NetworkProgram) -> Dict[str, Any]:
+    """Static streaming-capability summary of a program (no compile needed).
+
+    Stored in artifact headers by :func:`repro.core.export.save_program`
+    (schema ≥ 3) and surfaced by ``read_program_metadata``, so a server can
+    reject streaming requests against incapable — or pre-schema — artifacts
+    with a clear ``stream_unsupported`` reason instead of a KeyError.
+    """
+    rules: List[Dict[str, Any]] = []
+    supported = len(program.input_shape) == 3
+    cutoff_index: Optional[int] = None
+    for i, op in enumerate(program.ops):
+        rule = stream_rule(op)
+        entry = {
+            "op": op.name or op.kind,
+            "kind": op.kind,
+            "rule": "unknown" if rule is None else rule.kind,
+        }
+        if rule is None:
+            supported = False
+        elif rule.kind == "dilate":
+            entry.update(
+                kernel=list(rule.kernel), stride=rule.stride, padding=rule.padding
+            )
+        elif rule.kind == "cutoff" and cutoff_index is None:
+            cutoff_index = i
+        rules.append(entry)
+    return {
+        "supported": bool(supported),
+        "rules": rules,
+        "cutoff_index": cutoff_index,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Crop execution: the planner's step functions over a dirty region
+# ---------------------------------------------------------------------------
+
+#: Step-function context of stream steps.  Crop shapes change every frame,
+#: so temporaries are allocated per call and kernel plans get no scratch
+#: dict (a shape-keyed one would grow without bound).
+_FRESH = SimpleNamespace(
+    temp=lambda key, n, shape, dtype: np.empty((n,) + tuple(shape), dtype),
+    plan_scratch=lambda key: None,
+)
+
 
 def _clone_conv_plan(plan) -> Any:
     """A padding-0, hoist-off shallow clone of a compiled conv plan.
@@ -322,162 +277,73 @@ def _crop_with_halo(
     return crop
 
 
-def _elementwise_crop_fn(step: Step) -> Callable:
-    """Crop executor of an elementwise step: same per-element ufunc sequence
-    as the bound full-step fn, restricted to the region."""
-    op = step.op
-    kind, attrs = op.kind, op.attrs
+def _crop_executor(rule: StreamRule, fn: Callable, pad_value) -> Callable:
+    """Re-execute one step over an output region of its persistent buffer.
 
-    if kind == "quantize":
-        params = attrs["params"]
-        out_dtype = np.dtype(np.uint8 if params.bitwidth <= 8 else np.uint16)
-        clip_lo = attrs.get("clip_lo", params.qmin)
-        clip_hi = attrs.get("clip_hi", params.qmax)
+    Every input is sliced to the region's input window (halo-padded with
+    ``pad_value`` past the image border) and ``fn`` — the planner's step
+    function, built borderless for dilate steps — writes straight into the
+    region's view of the output buffer.
+    """
 
-        def fn(bufs, region, ins, out):
-            y0, y1, x0, x1 = region
-            q = bufs[ins[0]][:, :, y0:y1, x0:x1] / params.scale
-            np.rint(q, out=q)
-            q += params.zero_point
-            np.clip(q, clip_lo, clip_hi, out=q)
-            bufs[out][:, :, y0:y1, x0:x1] = q.astype(out_dtype, copy=False)
-
-        return fn
-
-    if kind == "pad_channels":
-        channels = op.in_shape[0]
-        value = attrs["value"]
-
-        def fn(bufs, region, ins, out):
-            y0, y1, x0, x1 = region
-            dst = bufs[out][:, :, y0:y1, x0:x1]
-            dst[:, :channels] = bufs[ins[0]][:, :, y0:y1, x0:x1]
-            dst[:, channels:] = value
-
-        return fn
-
-    if kind == "batchnorm":
-        mean = attrs["mean"].reshape(1, -1, 1, 1)
-        inv_std = attrs["inv_std"].reshape(1, -1, 1, 1)
-        gamma = attrs["gamma"].reshape(1, -1, 1, 1)
-        beta = attrs["beta"].reshape(1, -1, 1, 1)
-
-        def fn(bufs, region, ins, out):
-            y0, y1, x0, x1 = region
-            dst = bufs[out][:, :, y0:y1, x0:x1]
-            np.subtract(bufs[ins[0]][:, :, y0:y1, x0:x1], mean, out=dst)
-            np.multiply(dst, inv_std, out=dst)
-            np.multiply(dst, gamma, out=dst)
-            np.add(dst, beta, out=dst)
-
-        return fn
-
-    if kind == "activation":
-        if attrs["fn"] == "relu6":
-            def fn(bufs, region, ins, out):
-                y0, y1, x0, x1 = region
-                np.clip(
-                    bufs[ins[0]][:, :, y0:y1, x0:x1], 0.0, 6.0,
-                    out=bufs[out][:, :, y0:y1, x0:x1],
-                )
-            return fn
-
-        def fn(bufs, region, ins, out):
-            y0, y1, x0, x1 = region
-            src = bufs[ins[0]][:, :, y0:y1, x0:x1]
-            np.maximum(
-                src, src.dtype.type(0), out=bufs[out][:, :, y0:y1, x0:x1]
-            )
-
-        return fn
-
-    if kind == "add":
-        def fn(bufs, region, ins, out):
-            y0, y1, x0, x1 = region
-            np.add(
-                bufs[ins[0]][:, :, y0:y1, x0:x1],
-                bufs[ins[1]][:, :, y0:y1, x0:x1],
-                out=bufs[out][:, :, y0:y1, x0:x1],
-            )
-        return fn
-
-    if kind in ("dequantize", "requantize"):
-        # Standalone epilogues only exist on unfused schedules (the plan
-        # backend fuses them into the kernel plan); keep the reference
-        # association, restricted to the region.
-        full = step.fn
-
-        def fn(bufs, region, ins, out):
-            y0, y1, x0, x1 = region
-            bufs[out][:, :, y0:y1, x0:x1] = full(
-                bufs[ins[0]][:, :, y0:y1, x0:x1]
-            )
-
-        return fn
-
-    raise StreamUnsupported(f"no elementwise crop executor for '{kind}'")
-
-
-def _pool_crop_fn(step: Step) -> Callable:
-    variant = step.op.attrs["pool"]
-    k = int(step.op.attrs["kernel"])
-
-    def fn(bufs, region, ins, out):
-        y0, y1, x0, x1 = region  # output region, window-aligned by the rule
-        crop = bufs[ins[0]][:, :, y0 * k : y1 * k, x0 * k : x1 * k]
-        n, c = crop.shape[:2]
-        windows = crop.reshape(n, c, y1 - y0, k, x1 - x0, k)
-        if variant == "max":
-            bufs[out][:, :, y0:y1, x0:x1] = windows.max(axis=(3, 5))
-        else:
-            bufs[out][:, :, y0:y1, x0:x1] = windows.mean(axis=(3, 5))
-
-    return fn
-
-
-def _float_conv_crop_fn(step: Step, rule: StreamRule) -> Callable:
-    attrs = step.op.attrs
-    weight, bias = attrs["weight"], attrs["bias"]
-    stride, groups = attrs["stride"], attrs["groups"]
-
-    def fn(bufs, region, ins, out):
-        from repro.nn import functional as F
-
-        window = rule.in_window(region, bufs[ins[0]].shape[2:])
-        crop = _crop_with_halo(bufs[ins[0]], window, 0.0)
-        res = F.conv2d_forward(crop, weight, bias, stride, 0, groups)[0]
+    def crop(bufs, region, ins, out):
+        window = rule.in_window(region)
         y0, y1, x0, x1 = region
-        bufs[out][:, :, y0:y1, x0:x1] = res
+        fn(
+            [_crop_with_halo(bufs[b], window, pad_value) for b in ins],
+            bufs[out][:, :, y0:y1, x0:x1],
+            _FRESH,
+        )
 
-    return fn
+    return crop
 
-
-def _conv_crop_fn(step: Step, rule: StreamRule, active_bits: Optional[int]) -> Callable:
-    plan = step.plan
-    clone = _clone_conv_plan(plan)
-    pad_value = int(getattr(plan, "pad_value", 0))
-    validated = step.validated
-
-    def fn(bufs, region, ins, out):
-        window = rule.in_window(region, bufs[ins[0]].shape[2:])
-        crop = _crop_with_halo(bufs[ins[0]], window, pad_value)
-        res = clone(crop, active_bits=active_bits, validated=validated)
-        y0, y1, x0, x1 = region
-        np.copyto(bufs[out][:, :, y0:y1, x0:x1], res, casting="unsafe")
-
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# The compiled stream plan
-# ---------------------------------------------------------------------------
 
 @dataclass
 class _BoundStreamStep:
     step: Step
     rule: StreamRule
+    fn: Callable  # the planner's step function, run with out=None
     crop_fn: Optional[Callable]  # None => full-frame execution
 
+    def run_full(self, bufs: Dict[int, np.ndarray]) -> None:
+        step = self.step
+        bufs[step.output] = self.fn([bufs[b] for b in step.inputs], None, _FRESH)
+
+
+def _bind_step(step: Step, active_bits: Optional[int]) -> _BoundStreamStep:
+    """Attach one schedule step's rule, full-frame function and crop executor.
+
+    Spatial ``pass``/``dilate`` steps get a crop executor over the same
+    step function; dilate steps run it borderless — a padding-0 clone of a
+    bit-serial conv's kernel plan, a padding-0 attrs copy of a float conv
+    (pools have no padding).
+    """
+    op = step.op
+    if op is None:
+        # Backend-synthesized step with no IR op: cannot reason about it.
+        raise StreamUnsupported("schedule step carries no IR op")
+    rule = stream_rule(op)  # not None: compile_stream_plan checked support
+    try:
+        fn = compile_step_fn(op, step, active_bits, None)
+    except PlanUnsupported as exc:
+        raise StreamUnsupported(str(exc)) from exc
+    crop_fn = None
+    if rule.kind != "cutoff" and len(op.out_shape) == 3:
+        crop, pad_value = fn, 0
+        if step.plan is not None:
+            clone = dataclasses.replace(step, plan=_clone_conv_plan(step.plan))
+            crop = compile_step_fn(op, clone, active_bits, None)
+            pad_value = int(step.plan.pad_value)
+        elif op.kind == "conv":
+            borderless = dataclasses.replace(op, attrs={**op.attrs, "padding": 0})
+            crop = compile_step_fn(borderless, step, active_bits, None)
+        crop_fn = _crop_executor(rule, crop, pad_value)
+    return _BoundStreamStep(step=step, rule=rule, fn=fn, crop_fn=crop_fn)
+
+
+# ---------------------------------------------------------------------------
+# The compiled stream plan
+# ---------------------------------------------------------------------------
 
 class StreamPlan:
     """Compile-once streaming machinery shared by every session of a program.
@@ -518,17 +384,17 @@ class StreamPlan:
     def run_full(self, bufs: Dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
         """Execute the whole bound schedule into ``bufs`` (persistent state).
 
-        Same step fns in the same order as the executor's interpreter walk,
-        so the result is bitwise identical to :meth:`Executor.run` —
-        asserted at compile time by :func:`compile_stream_plan`.  Step fns
-        allocate their outputs fresh, so sessions never share memory.
+        The planner's step functions with ``out=None``, in schedule order:
+        the same ufunc sequences as :meth:`Executor.run`, so the result is
+        bitwise identical — asserted at compile time by
+        :func:`compile_stream_plan`.  Outputs are allocated fresh, so
+        sessions never share memory.
         """
         # An owned copy: sessions patch the dirty region of this buffer in
         # place on later frames, so it must never alias caller memory.
         bufs[self.program.input_id] = np.array(x, dtype=np.float64)
         for bound in self.steps:
-            step = bound.step
-            bufs[step.output] = step.fn(*[bufs[b] for b in step.inputs])
+            bound.run_full(bufs)
         return bufs[self.program.output_id]
 
 
@@ -658,30 +524,22 @@ class StreamSession:
         """Tile-granular change map vs. the reference frame → dirty bbox."""
         t = self.plan.tile
         prev = self._prev[0]
-        c, h, w = prev.shape
+        if self.threshold == 0.0:
+            changed = (frame != prev).any(axis=0)
+        else:
+            changed = (np.abs(frame - prev) > self.threshold).any(axis=0)
+        h, w = changed.shape
         th, tw = -(-h // t), -(-w // t)
-        dirty_rows: List[int] = []
-        dirty_cols: List[int] = []
-        count = 0
-        for ty in range(th):
-            ys = slice(ty * t, min((ty + 1) * t, h))
-            for tx in range(tw):
-                xs = slice(tx * t, min((tx + 1) * t, w))
-                new, old = frame[:, ys, xs], prev[:, ys, xs]
-                if self.threshold == 0.0:
-                    changed = not np.array_equal(new, old)
-                else:
-                    changed = bool(np.max(np.abs(new - old)) > self.threshold)
-                if changed:
-                    count += 1
-                    dirty_rows.append(ty)
-                    dirty_cols.append(tx)
+        grid = np.zeros((th * t, tw * t), dtype=bool)
+        grid[:h, :w] = changed
+        tiles = grid.reshape(th, t, tw, t).any(axis=(1, 3))
+        count = int(tiles.sum())
         if not count:
             return 0, th * tw, None
-        y0 = min(dirty_rows) * t
-        y1 = min(h, (max(dirty_rows) + 1) * t)
-        x0 = min(dirty_cols) * t
-        x1 = min(w, (max(dirty_cols) + 1) * t)
+        rows = np.flatnonzero(tiles.any(axis=1))
+        cols = np.flatnonzero(tiles.any(axis=0))
+        y0, y1 = int(rows[0]) * t, min(h, (int(rows[-1]) + 1) * t)
+        x0, x1 = int(cols[0]) * t, min(w, (int(cols[-1]) + 1) * t)
         return count, th * tw, (y0, y1, x0, x1)
 
     def _incremental(self, frame: np.ndarray, region: Region) -> np.ndarray:
@@ -698,29 +556,23 @@ class StreamSession:
         regions: Dict[int, Optional[Region]] = {plan.program.input_id: region}
         cut = False
         for bound in plan.steps:
-            step, rule = bound.step, bound.rule
-            in_regions = [regions.get(b) for b in step.inputs]
-            if not cut and all(r is None for r in in_regions):
+            step = bound.step
+            dirty = [regions[b] for b in step.inputs if regions.get(b) is not None]
+            if not cut and not dirty:
                 regions[step.output] = None
                 continue  # clean step: previous frame's output stands
-            if cut or rule.kind == "cutoff" or bound.crop_fn is None:
-                # Full-frame re-execution (cutoff head, float convs, or a
-                # verification-demoted step).
-                bufs[step.output] = step.fn(*[bufs[b] for b in step.inputs])
-                if cut or rule.kind == "cutoff":
-                    cut = True
-                    regions[step.output] = None
-                    continue
-                out_hw = bufs[step.output].shape[2:]
-                merged = _union(
-                    [r for r in in_regions if r is not None],
-                )
-                regions[step.output] = rule.out_region(merged, out_hw)
+            if cut or bound.rule.kind == "cutoff":
+                bound.run_full(bufs)  # the non-spatial head recomputes
+                cut = True
+                regions[step.output] = None
                 continue
-            merged = _union([r for r in in_regions if r is not None])
-            out = bufs[step.output]
-            out_region = rule.out_region(merged, out.shape[2:])
-            bound.crop_fn(bufs, out_region, step.inputs, step.output)
+            out_region = bound.rule.out_region(
+                _union(dirty), bufs[step.output].shape[2:]
+            )
+            if bound.crop_fn is None:
+                bound.run_full(bufs)  # demoted by the compile-time check
+            else:
+                bound.crop_fn(bufs, out_region, step.inputs, step.output)
             regions[step.output] = out_region
         return bufs[plan.program.output_id]
 
@@ -748,9 +600,9 @@ def compile_stream_plan(
 ) -> StreamPlan:
     """Compile the streaming machinery for a bound program.
 
-    Derives per-step propagation rules from the plan backend's bound
-    schedule, builds crop executors (padding-0 conv-plan clones for the
-    fused bit-serial steps), **verifies** the incremental path bitwise
+    Binds each step of the plan backend's schedule to its propagation rule
+    (:func:`stream_rule`), the planner's step function and a crop
+    executor, **verifies** the incremental path bitwise
     against the full executor on a perturbed frame (demoting any deviating
     step to full-frame execution), and measures the incremental-vs-full
     crossover dirty fraction — recorded like autotune decisions under the
@@ -777,21 +629,7 @@ def compile_stream_plan(
         )
     if executor is None:
         executor = Executor(program, backend="plan", active_bits=active_bits)
-    bound_steps: List[_BoundStreamStep] = []
-    for step in executor._steps:
-        rule = _classify_step(step)
-        crop_fn: Optional[Callable] = None
-        if rule.mode == "crop":
-            if step.op.kind == "bitserial_conv":
-                crop_fn = _conv_crop_fn(step, rule, active_bits)
-            elif step.op.kind == "conv":
-                crop_fn = _float_conv_crop_fn(step, rule)
-            elif step.op.kind == "pool":
-                rule.align = 1  # output grid is already window-granular
-                crop_fn = _pool_crop_fn(step)
-            else:
-                crop_fn = _elementwise_crop_fn(step)
-        bound_steps.append(_BoundStreamStep(step=step, rule=rule, crop_fn=crop_fn))
+    bound_steps = [_bind_step(step, active_bits) for step in executor._steps]
 
     record: Dict[str, Any] = {
         "tile": int(tile),
@@ -884,7 +722,6 @@ def _verify_bitwise(plan: StreamPlan, base: np.ndarray, rng, record) -> None:
         if culprit is None:
             return
         culprit.crop_fn = None
-        culprit.rule.demoted = True
         record["demoted_steps"].append(
             culprit.step.op.name or culprit.step.op.kind
         )
@@ -937,7 +774,7 @@ def _measure_crossover(plan: StreamPlan, base: np.ndarray, rng) -> Dict[str, Any
         fraction = 1.0 if t_hi <= t_full else f_lo
     else:
         fraction = f_lo + (t_full - t_lo) * (1.0 - f_lo) / (t_hi - t_lo)
-    fraction = float(np.clip(fraction, 0.05, 0.95))
+    fraction = float(min(max(fraction, 0.05), 0.95))
     return {
         "fraction": fraction,
         "source": "measured",

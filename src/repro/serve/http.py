@@ -158,10 +158,14 @@ class _Handler(BaseHTTPRequestHandler):
         # them in rfile to be misparsed as the next request line.
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length)
         except ValueError:
-            self.close_connection = True  # unknown body length; cannot reuse
-            return self._error(400, "Content-Length must be an integer")
+            length = -1
+        if length < 0:
+            # Unknown body length: the connection cannot be reused, and a
+            # negative read would block until the client hangs up.
+            self.close_connection = True
+            return self._error(400, "Content-Length must be a non-negative integer")
+        body = self.rfile.read(length)
         try:
             parts, version = self._route()
         except ValueError as exc:

@@ -11,8 +11,9 @@ holding them.  This module is the serve-side of that contract:
   immutable) and a table of named sessions (per-client state).  Session
   affinity is structural: a session id maps to exactly one session object,
   and the manager serializes execution so concurrent requests can never
-  interleave half-updated state (kernel-plan crop clones share scratch
-  buffers, so cross-session execution is serialized too).
+  interleave half-updated state (one lock covers every session; the plan
+  itself holds no mutable state across calls — crops allocate their
+  temporaries per call and pass no kernel scratch).
 * TTL eviction — sessions idle past ``session_ttl_s`` are dropped by a
   sweep ticker driven by the server's injectable clock (the deterministic
   test harness advances a virtual clock; production uses wall time), and

@@ -25,7 +25,7 @@ from repro.nn import DataLoader
 from repro.nn.data.dataset import ArrayDataset
 
 
-def _compiled_program(model_name, image_size=32, **model_kwargs):
+def _compiled_program(model_name, image_size=32, level="O2", **model_kwargs):
     model = create_model(
         model_name, num_classes=10, in_channels=3, rng=0, **model_kwargs
     )
@@ -42,23 +42,39 @@ def _compiled_program(model_name, image_size=32, **model_kwargs):
         EngineConfig(activation_bitwidth=8, lut_bitwidth=8, calibration_batches=2),
     )
     engine.calibrate(loader)
-    return engine.compile(level="O2")
+    return engine.compile(level=level)
+
+
+def _resnet_plan(level):
+    """resnet_s_tiny: padding-1 convs, stride-2 downsample convs, residual
+    adds — compiled with a fixed crossover so tests are deterministic."""
+    program = _compiled_program("resnet_s_tiny", level=level)
+    plan = compile_stream_plan(program, tile=8, crossover=1.0, seed=0)
+    assert plan.counters["demoted_steps"] == []
+    return plan
+
+
+def _tinyconv_plan(level):
+    """tinyconv: float stem conv (padding 2) + max/avg pools between the
+    bit-serial convs — the chain-spanning-a-pool case."""
+    program = _compiled_program("tinyconv", level=level)
+    plan = compile_stream_plan(program, tile=8, crossover=1.0, seed=0)
+    # Every step before the flatten/linear head crops — the float conv and
+    # the pools included; a deviating crop would be demoted to full
+    # recompute and hide behind a passing output comparison.
+    assert plan.counters["demoted_steps"] == []
+    assert plan.counters["crop_steps"] == 10
+    return plan
 
 
 @pytest.fixture(scope="module")
 def resnet_plan():
-    """resnet_s_tiny: padding-1 convs, stride-2 downsample convs, residual
-    adds — compiled with a fixed crossover so tests are deterministic."""
-    program = _compiled_program("resnet_s_tiny")
-    return compile_stream_plan(program, tile=8, crossover=1.0, seed=0)
+    return _resnet_plan("O2")
 
 
 @pytest.fixture(scope="module")
 def tinyconv_plan():
-    """tinyconv: float stem conv (padding 2) + max/avg pools between the
-    bit-serial convs — the chain-spanning-a-pool case."""
-    program = _compiled_program("tinyconv")
-    return compile_stream_plan(program, tile=8, crossover=1.0, seed=0)
+    return _tinyconv_plan("O2")
 
 
 def _frame(plan, seed=0):
@@ -193,6 +209,20 @@ class TestBitExactness:
             frame = _perturbed(frame, region, seed=10 + i)
             out, _ = session.process(frame)
             np.testing.assert_array_equal(out, _oracle(resnet_plan, frame))
+
+
+class TestBitExactnessO3(TestBitExactness):
+    """The same cases on O3 programs: the autotuner may pick other
+    tap-gather/encoder variants per conv, which the padding-0 plan clones
+    must reproduce bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def resnet_plan(self):
+        return _resnet_plan("O3")
+
+    @pytest.fixture(scope="class")
+    def tinyconv_plan(self):
+        return _tinyconv_plan("O3")
 
 
 class TestModes:

@@ -1,6 +1,7 @@
 """End-to-end tests for InferenceServer, worker pools, and the HTTP front end."""
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -393,6 +394,21 @@ class TestHttpFrontEnd:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(http_server.url, "/v1/models/resnet_s/predict", {"x": 1})
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("route", ["predict", "stream"])
+    def test_negative_content_length_is_400_and_closes(self, http_server, route):
+        """A negative Content-Length is refused before any body read (a
+        negative read would block the handler until the client hangs up),
+        and the connection is closed because the body length is unknown."""
+        with socket.create_connection(http_server.address, timeout=10.0) as sock:
+            sock.sendall(
+                f"POST /v1/models/resnet_s/{route} HTTP/1.1\r\n"
+                "Host: localhost\r\nContent-Type: application/json\r\n"
+                "Connection: keep-alive\r\nContent-Length: -1\r\n\r\n{}".encode()
+            )
+            response = sock.makefile("rb").read()  # EOF: the server closed
+        assert response.split(b" ", 2)[1] == b"400"
+        assert b"Content-Length" in response.split(b"\r\n\r\n", 1)[1]
 
 
 # ---------------------------------------------------------------------------
